@@ -27,6 +27,21 @@ pub enum RepRole {
     Select,
 }
 
+impl RepRole {
+    /// The rank at which the degradation ladder (SLA-class pressure and
+    /// chaos brownout) turns this role's candidates off under backlog:
+    /// hybrid (2) masks first, DHE variants (1) at the table-only rung,
+    /// and table paths (0) never. The runtime and both replay twins
+    /// derive their rank vectors from their mappings' roles here.
+    pub fn degrade_rank(self) -> u32 {
+        match self {
+            RepRole::Hybrid => 2,
+            RepRole::Dhe | RepRole::DheCompact => 1,
+            RepRole::Table | RepRole::Select => 0,
+        }
+    }
+}
+
 impl std::fmt::Display for RepRole {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

@@ -264,47 +264,11 @@ pub fn select_mapping(
 }
 
 /// The SLA-class pressure ladder over Algorithm 2's candidate set: the
-/// per-class analogue of the chaos brownout mask, with the rung
-/// thresholds supplied by the query's SLA class instead of a global
-/// config. When the serving tier's worst virtual `backlog_us` reaches
-/// `narrow_backlog_us`, candidates of degrade rank 2 (hybrid) are
-/// masked to `+inf`; at `table_only_backlog_us`, ranks 1–2 (DHE too).
-/// Rank 0 (the replicated table path) is never masked, a masking that
-/// would empty the candidate set is skipped, and a strict class passes
-/// `f64::INFINITY` thresholds so it is never class-degraded.
-///
-/// Masked costs stay visible: they land as `+inf` slots in the
-/// `RouteDecision` trace event's candidate-cost vector, so a recording
-/// shows *why* a loose-class batch lost its accurate path. This is the
-/// single shared implementation for the runtime engine, the cluster
-/// dispatcher, and both replay twins; it composes with
-/// `ChaosConfig::brownout_mask` (both mask the same completions slice —
-/// whichever ladder is deeper wins). Returns whether anything was
-/// masked.
-#[inline]
-pub fn class_pressure_mask(
-    degrade_rank: &[u32],
-    backlog_us: f64,
-    narrow_backlog_us: f64,
-    table_only_backlog_us: f64,
-    completions: &mut [f64],
-) -> bool {
-    if backlog_us < narrow_backlog_us {
-        return false;
-    }
-    let min_masked = if backlog_us >= table_only_backlog_us { 1 } else { 2 };
-    if degrade_rank.iter().all(|&r| r >= min_masked) {
-        return false;
-    }
-    let mut masked = false;
-    for (c, &r) in completions.iter_mut().zip(degrade_rank) {
-        if r >= min_masked {
-            *c = f64::INFINITY;
-            masked = true;
-        }
-    }
-    masked
-}
+/// shared degradation ladder
+/// ([`mprec_data::scenario::degrade_ladder_mask`]) fed the query's SLA
+/// class rungs instead of the chaos brownout's global ones. A strict
+/// class passes `f64::INFINITY` thresholds and is never degraded.
+pub use mprec_data::scenario::degrade_ladder_mask as class_pressure_mask;
 
 #[cfg(test)]
 mod tests {

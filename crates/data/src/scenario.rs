@@ -517,19 +517,10 @@ impl ChaosConfig {
     }
 
     /// Applies the brownout candidate-narrowing ladder to a routing
-    /// candidate set: masks (sets to `+inf`) every completion whose
-    /// degrade rank the current rung has turned off, so the scheduler's
-    /// min-completion fallback never picks it while any finite
-    /// candidate remains. Rung 1 (`backlog >= brownout_narrow_us`)
-    /// masks rank 2 (hybrid); rung 2 (`>= brownout_table_only_us`)
-    /// masks ranks 1–2 (DHE too). Rank 0 (the replicated table path)
-    /// is never masked, and a masking that would empty the candidate
-    /// set entirely (e.g. a fixed-hybrid policy) is skipped. Returns
-    /// whether anything was masked.
-    ///
-    /// This is the single shared implementation for the runtime
-    /// dispatcher and the serving twin replay: both call it with the
-    /// same ranks and backlog, so their routing degrades identically.
+    /// candidate set: [`degrade_ladder_mask`] at this config's rung
+    /// thresholds (rung 1 masks hybrid, rung 2 DHE too), or nothing
+    /// while the controller is off. Returns whether anything was
+    /// masked.
     #[inline]
     pub fn brownout_mask(
         &self,
@@ -537,21 +528,14 @@ impl ChaosConfig {
         backlog_us: f64,
         completions: &mut [f64],
     ) -> bool {
-        if !self.brownout || backlog_us < self.brownout_narrow_us {
-            return false;
-        }
-        let min_masked = if backlog_us >= self.brownout_table_only_us { 1 } else { 2 };
-        if degrade_rank.iter().all(|&r| r >= min_masked) {
-            return false;
-        }
-        let mut masked = false;
-        for (c, &r) in completions.iter_mut().zip(degrade_rank) {
-            if r >= min_masked {
-                *c = f64::INFINITY;
-                masked = true;
-            }
-        }
-        masked
+        self.brownout
+            && degrade_ladder_mask(
+                degrade_rank,
+                backlog_us,
+                self.brownout_narrow_us,
+                self.brownout_table_only_us,
+                completions,
+            )
     }
 
     /// Whether the shed rung is reached at `backlog_us` and `sequence`
@@ -564,6 +548,44 @@ impl ChaosConfig {
             && self.shed_modulus > 0
             && sequence.is_multiple_of(self.shed_modulus)
     }
+}
+
+/// The degradation ladder over Algorithm 2's candidate set, shared by
+/// the chaos brownout controller ([`ChaosConfig::brownout_mask`],
+/// cluster-wide rungs) and the SLA-class pressure ladder
+/// (`mprec_core::scheduler::class_pressure_mask`, per-tenant rungs).
+/// When the worst virtual `backlog_us` reaches `narrow_backlog_us`,
+/// candidates of degrade rank 2 (hybrid) are masked to `+inf`; at
+/// `table_only_backlog_us`, ranks 1–2 (DHE too). Rank 0 (the
+/// replicated table path) is never masked, a masking that would empty
+/// the candidate set (e.g. a fixed-hybrid policy) is skipped, and
+/// infinite thresholds (a strict class) never mask. Masked costs stay
+/// visible as `+inf` slots in the `RouteDecision` trace event; both
+/// ladders mask the same slice, so the deeper one wins. Returns whether
+/// anything was masked.
+#[inline]
+pub fn degrade_ladder_mask(
+    degrade_rank: &[u32],
+    backlog_us: f64,
+    narrow_backlog_us: f64,
+    table_only_backlog_us: f64,
+    completions: &mut [f64],
+) -> bool {
+    if backlog_us < narrow_backlog_us {
+        return false;
+    }
+    let min_masked = if backlog_us >= table_only_backlog_us { 1 } else { 2 };
+    if degrade_rank.iter().all(|&r| r >= min_masked) {
+        return false;
+    }
+    let mut masked = false;
+    for (c, &r) in completions.iter_mut().zip(degrade_rank) {
+        if r >= min_masked {
+            *c = f64::INFINITY;
+            masked = true;
+        }
+    }
+    masked
 }
 
 /// Salt mixed into [`FaultPlan::generate`]'s seed so fault draws never

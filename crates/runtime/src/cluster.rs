@@ -2,9 +2,9 @@
 //! runtime that survives node failures, rebalances live, and prunes its
 //! scatter to the nodes a batch actually needs.
 //!
-//! A single [`Engine`](crate::Engine) tops out at one machine's worker
-//! pool and one MP-Cache. This module serves the same traces across a
-//! *changing* set of simulated nodes:
+//! A single [`Engine`](crate::Engine) — a one-node cluster — tops out
+//! at one machine's worker pool and one MP-Cache. This module serves the
+//! same traces across a *changing* set of simulated nodes:
 //!
 //! * a **consistent-hash feature-shard router**
 //!   ([`FeatureShardPlan`] over [`mprec_core::ring::HashRing`])
@@ -15,14 +15,19 @@
 //!   re-owns only the ~K/N remapped features, computed incrementally
 //!   through the ring's remap-diff API ([`HashRing::diff`] +
 //!   [`FeatureShardPlan::apply`]);
-//! * a **front-end** micro-batches and routes queries exactly like the
-//!   single-node engine (Algorithm 2 in deterministic virtual time, via
-//!   the shared [`mprec_core::scheduler::select_mapping`] rule), then
+//! * a **front-end** micro-batches and routes queries (Algorithm 2 in
+//!   deterministic virtual time, via the shared
+//!   [`mprec_core::scheduler::select_mapping`] rule), then
 //!   **scatters** each batch to the *pruned* target set of the routed
 //!   path — only the nodes whose per-node cache state the path touches,
 //!   plus one designated executor for replicated table-only work;
-//! * a **merger** gathers the partial pools, sums them, runs the top
-//!   MLP, and records measured latencies into a mergeable histogram.
+//! * the **last leg merges**: the node worker that finishes a batch's
+//!   final scatter leg sums the partial pools, runs the top MLP, and
+//!   records measured latencies into its own mergeable histogram. A
+//!   single-target batch — every batch of a one-node cluster, which is
+//!   what [`Engine`](crate::Engine) lowers onto — pools straight into
+//!   that worker's reusable matrix and is scored there, with no partial
+//!   and no hand-off.
 //!
 //! # Virtual-time accounting
 //!
@@ -99,13 +104,17 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use mprec_core::candidates::{CandidateRep, RepRole};
 use mprec_core::mpcache::CacheStats;
-use mprec_core::planner::MappingSet;
+use mprec_core::planner::{Mapping, MappingSet};
+use mprec_core::profile::LatencyProfile;
 use mprec_core::ring::{HashRing, DEFAULT_VNODES};
 use mprec_core::scheduler::{class_pressure_mask, select_mapping};
 use mprec_data::query::{Query, QueryTraceConfig};
 use mprec_data::scenario::{self, ChaosConfig, ChurnAction, ChurnEvent, FaultPlan, LoadScenario};
 use mprec_data::traffic::{SlaClass, TrafficConfig};
+use mprec_embed::{DheConfig, RepresentationConfig};
+use mprec_hwsim::{Platform, WorkloadBuilder};
 use mprec_nn::MlpScratch;
 use mprec_serving::{PathUsage, ServingOutcome};
 use mprec_tensor::Matrix;
@@ -116,9 +125,7 @@ use parking_lot::{Condvar, Mutex};
 
 pub use mprec_core::ring::FeatureShardPlan;
 
-use crate::engine::{
-    build_path_mappings, degrade_rank, PathAccuracy, RoutePolicy, TenantReport, TenantTally,
-};
+use crate::engine::{PathAccuracy, RoutePolicy, TenantReport};
 use crate::histogram::{LatencyHistogram, DEFAULT_SUBS_PER_OCTAVE};
 use crate::model::{BatchResult, PathKind, RuntimeModel, RuntimeModelConfig, ScratchSpace};
 use crate::queue::BoundedQueue;
@@ -190,8 +197,8 @@ pub struct ClusterConfig {
     /// Per-node latency histogram resolution (sub-buckets per octave);
     /// the merged report adopts it.
     pub histogram_subs: u32,
-    /// Flight-recorder config: when enabled, the dispatcher, every node
-    /// worker, and the merger each record the query lifecycle into a
+    /// Flight-recorder config: when enabled, the dispatcher and every
+    /// node worker each record the query lifecycle into a
     /// preallocated per-track [`EventRing`], assembled into
     /// [`ClusterReport::trace`]. Off by default (zero overhead beyond
     /// one branch per would-be event).
@@ -427,6 +434,9 @@ pub struct ClusterReport {
     pub per_node_features: Vec<usize>,
     /// Scatter jobs executed per replica (summed over its workers).
     pub per_node_batches: Vec<u64>,
+    /// Scatter jobs executed per worker thread, node-major (replicas in
+    /// [`ClusterReport::node_ids`] order, then worker index).
+    pub worker_batches: Vec<u64>,
     /// Merged measured-latency histogram (at the configured
     /// resolution).
     pub histogram: LatencyHistogram,
@@ -483,8 +493,8 @@ pub struct ClusterReport {
     pub checksum: f64,
     /// Initial node count the run was configured with.
     pub nodes: usize,
-    /// Flight-recorder tracks (`dispatcher`, `node-{id}-worker-{w}`,
-    /// `merger`) when [`ClusterConfig::recorder`] was enabled. The
+    /// Flight-recorder tracks (`dispatcher`, `node-{id}-worker-{w}`)
+    /// when [`ClusterConfig::recorder`] was enabled. The
     /// dispatcher track is deterministic in `(config, seed)` and is the
     /// twin-agreement surface pinned by `tests/sim_vs_runtime.rs`.
     pub trace: Option<TraceRecording>,
@@ -497,7 +507,7 @@ struct WorkQuery {
     real_arrival: Instant,
 }
 
-/// A scattered micro-batch, shared by its target nodes and the merger.
+/// A scattered micro-batch, shared by its target nodes.
 #[derive(Debug)]
 struct BatchShared {
     path: PathKind,
@@ -507,14 +517,15 @@ struct BatchShared {
     /// Dispatch-order batch id (the flight recorder's correlation key).
     batch: u64,
     /// Virtual execution window (final leg), carried so node workers
-    /// and the merger can stamp their events in virtual time.
+    /// can stamp their events in virtual time.
     vstart_us: f64,
     vdone_us: f64,
-    /// One partial-pool slot per scatter target, filled by that node's
-    /// worker.
+    /// One partial-pool slot per scatter target of a fan-out batch,
+    /// filled by that node's worker. Empty for a single-target batch,
+    /// which pools straight into its worker's gather matrix.
     partials: Vec<Mutex<Option<Matrix>>>,
     /// Targets still computing; the worker that drops this to zero
-    /// hands the batch to the merger.
+    /// gathers the partials and scores the batch.
     pending: AtomicUsize,
 }
 
@@ -527,16 +538,11 @@ struct ScatterJob {
     features: Arc<Vec<usize>>,
 }
 
+/// One node worker's tallies: its scatter legs, plus the measured
+/// latencies and scores of the batches whose last leg it ran.
 #[derive(Debug)]
 struct NodeWorkerReport {
     batches: u64,
-    error: Option<String>,
-    /// This worker's flight-recorder track (None when tracing is off).
-    ring: Option<EventRing>,
-}
-
-#[derive(Debug)]
-struct MergerReport {
     histogram: LatencyHistogram,
     completed: u64,
     samples: u64,
@@ -544,14 +550,14 @@ struct MergerReport {
     checksum: f64,
     last_done: Instant,
     error: Option<String>,
-    /// The merger's flight-recorder track (None when tracing is off).
+    /// This worker's flight-recorder track (None when tracing is off).
     ring: Option<EventRing>,
 }
 
-/// Cross-thread progress ledger: how many batches the merger has fully
-/// gathered, plus a failure flag. The front-end blocks on it at epoch
-/// boundaries (quiescence barrier) so cache snapshots and queue
-/// teardown happen with no batch in flight.
+/// Cross-thread progress ledger: how many batches have been fully
+/// gathered and scored, plus a failure flag. The front-end blocks on it
+/// at epoch boundaries (quiescence barrier) so cache snapshots and
+/// queue teardown happen with no batch in flight.
 #[derive(Debug)]
 struct Progress {
     state: Mutex<(u64, bool)>,
@@ -581,7 +587,7 @@ impl Progress {
     }
 
     /// Blocks until `target` batches completed; returns `false` if a
-    /// worker or the merger failed first.
+    /// worker failed first.
     fn wait_for_batches(&self, target: u64) -> bool {
         let mut guard = self.state.lock();
         loop {
@@ -652,6 +658,30 @@ struct DispatchTally {
     slack: LatencyHistogram,
     /// Latest virtual completion seen (closes the final epoch's span).
     last_done_us: f64,
+}
+
+/// One tenant's in-flight dispatcher tallies.
+#[derive(Debug)]
+struct TenantTally {
+    completed: u64,
+    samples: u64,
+    shed: u64,
+    violations: u64,
+    latency_sum_us: f64,
+    vhist: LatencyHistogram,
+}
+
+impl TenantTally {
+    fn new() -> Self {
+        TenantTally {
+            completed: 0,
+            samples: 0,
+            shed: 0,
+            violations: 0,
+            latency_sum_us: 0.0,
+            vhist: LatencyHistogram::new(),
+        }
+    }
 }
 
 /// One internal rebalance step on the virtual-time axis. The configured
@@ -745,7 +775,7 @@ impl Cluster {
             cfg.tenants.validate().map_err(RuntimeError::BadConfig)?;
             // Default the per-tenant ID skews off the traffic spec so a
             // tenanted cluster gets distinct hot sets without repeating
-            // the exponents in the model config (matches Engine::new).
+            // the exponents in the model config.
             if cfg.model.tenant_zipf.is_empty() {
                 cfg.model.tenant_zipf = cfg.tenants.tenants.iter().map(|t| t.id_zipf).collect();
             }
@@ -1127,8 +1157,13 @@ impl Cluster {
                 .collect(),
             faults: self.cfg.faults.clone(),
             chaos: self.cfg.chaos,
-            degrade_rank: self.paths.iter().map(|&p| degrade_rank(p)).collect(),
         }
+    }
+
+    /// The boot node's model replica (the whole model of a one-node
+    /// cluster, which is what [`Engine`](crate::Engine) lowers onto).
+    pub(crate) fn boot_model(&self) -> &RuntimeModel {
+        &self.nodes[0].model
     }
 
     fn slot_of(&self, id: u32) -> usize {
@@ -1208,7 +1243,7 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// Surfaces any node- or merger-side execution error.
+    /// Surfaces any node-side execution error.
     pub fn serve(&self) -> Result<ClusterReport> {
         for node in &self.nodes {
             node.model.cache().reset_stats();
@@ -1230,63 +1265,45 @@ impl Cluster {
         let node_queues: Vec<Arc<BoundedQueue<ScatterJob>>> = (0..self.nodes.len())
             .map(|_| Arc::new(BoundedQueue::with_capacity(depth)))
             .collect();
-        let merge_queue: Arc<BoundedQueue<Arc<BatchShared>>> =
-            Arc::new(BoundedQueue::with_capacity((self.nodes.len() * 4).max(8)));
         let progress = Arc::new(Progress::new());
         let start = Instant::now();
 
-        let recorder = self.cfg.recorder;
         let mut workers = Vec::with_capacity(self.nodes.len() * self.cfg.workers_per_node);
         for (n, node) in self.nodes.iter().enumerate() {
             for _ in 0..self.cfg.workers_per_node {
                 let queue = Arc::clone(&node_queues[n]);
-                let merge = Arc::clone(&merge_queue);
                 let model = Arc::clone(&node.model);
                 let progress = Arc::clone(&progress);
                 let id = node.id;
+                let sla_us = self.cfg.sla_us;
+                let report = NodeWorkerReport {
+                    batches: 0,
+                    histogram: LatencyHistogram::with_subs_per_octave(self.cfg.histogram_subs),
+                    completed: 0,
+                    samples: 0,
+                    measured_violations: 0,
+                    checksum: 0.0,
+                    last_done: start,
+                    error: None,
+                    // Preallocated before the first batch so steady-state
+                    // recording never allocates.
+                    ring: self.cfg.recorder.ring(),
+                };
                 workers.push(std::thread::spawn(move || {
-                    node_worker_loop(&queue, &merge, &model, &progress, id, recorder)
+                    node_worker_loop(&queue, &model, &progress, id, sla_us, report)
                 }));
             }
         }
-        let merger = {
-            let merge = Arc::clone(&merge_queue);
-            let model = Arc::clone(&self.nodes[0].model);
-            let progress = Arc::clone(&progress);
-            let sla_us = self.cfg.sla_us;
-            let subs = self.cfg.histogram_subs;
-            let emb_dim = self.cfg.model.emb_dim;
-            std::thread::spawn(move || {
-                merger_loop(&merge, &model, &progress, sla_us, subs, emb_dim, start, recorder)
-            })
-        };
 
         let tally = self.dispatch(&trace, &node_queues, &progress, start);
         for q in &node_queues {
             q.close();
         }
-        let mut node_batches = vec![0u64; self.nodes.len()];
-        let mut worker_rings: Vec<(String, EventRing)> = Vec::new();
-        let mut worker_error: Option<String> = None;
-        for (i, w) in workers.into_iter().enumerate() {
-            let mut report = w.join().expect("node worker thread panicked");
-            let node_slot = i / self.cfg.workers_per_node;
-            node_batches[node_slot] += report.batches;
-            if let Some(ring) = report.ring.take() {
-                let node = self.nodes[node_slot].id;
-                let worker = i % self.cfg.workers_per_node;
-                worker_rings.push((format!("node-{node}-worker-{worker}"), ring));
-            }
-            if worker_error.is_none() {
-                worker_error = report.error;
-            }
-        }
-        merge_queue.close();
-        let merged = merger.join().expect("merger thread panicked");
-        if let Some(msg) = worker_error {
-            return Err(RuntimeError::Worker(msg));
-        }
-        if let Some(msg) = merged.error {
+        let reports: Vec<NodeWorkerReport> = workers
+            .into_iter()
+            .map(|w| w.join().expect("node worker thread panicked"))
+            .collect();
+        if let Some(msg) = reports.iter().find_map(|r| r.error.clone()) {
             return Err(RuntimeError::Worker(msg));
         }
         if tally.aborted {
@@ -1294,7 +1311,7 @@ impl Cluster {
                 "cluster run aborted at an epoch barrier".into(),
             ));
         }
-        Ok(self.assemble(tally, merged, node_batches, worker_rings, start))
+        Ok(self.assemble(tally, reports, start))
     }
 
     /// Ships a joining node its owned features' dynamic-tier entries via
@@ -1405,9 +1422,9 @@ impl Cluster {
         let mut cur_epoch = 0usize;
         let mut dispatched = 0u64;
         // One pending list per tenant: each tenant batches on its own
-        // deadline axis (same contract as the single-node engine), so a
-        // legacy trace (every id tenant 0) collapses to the historical
-        // single-pending behaviour bit for bit.
+        // deadline axis, so a legacy trace (every id tenant 0)
+        // collapses to the historical single-pending behaviour bit for
+        // bit.
         let tenant_count = trace
             .iter()
             .map(|q| scenario::tenant_of(q.id) as usize + 1)
@@ -1519,8 +1536,15 @@ impl Cluster {
             };
         }
 
-        let degrade_ranks: Vec<u32> = self.paths.iter().map(|&p| degrade_rank(p)).collect();
+        // Mapping roles (and so ranks) are identical across epochs.
+        let degrade_ranks: Vec<u32> = self.epochs[0]
+            .mappings
+            .mappings
+            .iter()
+            .map(|m| m.rep.role.degrade_rank())
+            .collect();
         let mut route_completions: Vec<f64> = Vec::new();
+        let mut prev_flush_us = f64::NEG_INFINITY;
         let mut flush = |pending: &mut Vec<&Query>,
                          pending_samples: &mut u64,
                          tenant: usize,
@@ -1542,8 +1566,9 @@ impl Cluster {
                 return;
             }
             // Adaptive re-planning: once the static schedule is
-            // exhausted, watch the live nodes' virtual backlog at every
-            // flush. A sustained imbalance (hot-key drift parks the hot
+            // exhausted, watch the live nodes' virtual backlog at the
+            // first flush of every distinct virtual instant. A
+            // sustained imbalance (hot-key drift parks the hot
             // features' owner at the back of every queue) triggers a
             // partial migration: ship the busiest node's lowest-id
             // owned features to the idlest live node and open an
@@ -1551,8 +1576,14 @@ impl Cluster {
             // only virtual state (`free_at`, flush time), so it is
             // deterministic, and the triggering flush itself routes
             // under the new epoch — exactly when the replay twin
-            // switches, since the spec event carries this timestamp.
+            // switches, since it applies the spec event at the first
+            // flush at or after its timestamp. (Evaluating at a later
+            // flush of the same instant would switch one flush after
+            // the twin does.)
+            let first_at_instant = flush_at_us > prev_flush_us;
+            prev_flush_us = flush_at_us;
             if self.cfg.rebalance.adaptive
+                && first_at_instant
                 && *cur_epoch >= self.events.len()
                 && flush_at_us - *last_adaptive_us >= self.cfg.rebalance.adaptive_cooldown_us
             {
@@ -1945,7 +1976,11 @@ impl Cluster {
                 batch,
                 vstart_us: done_us - final_exec,
                 vdone_us: done_us,
-                partials: (0..assignment.len()).map(|_| Mutex::new(None)).collect(),
+                partials: if assignment.len() == 1 {
+                    Vec::new()
+                } else {
+                    (0..assignment.len()).map(|_| Mutex::new(None)).collect()
+                },
                 pending: AtomicUsize::new(assignment.len()),
             });
             for (slot, (node_id, feats)) in assignment.iter().enumerate() {
@@ -2108,20 +2143,17 @@ impl Cluster {
         class: &SlaClass,
         completions: &mut Vec<f64>,
     ) -> (usize, f64, f64, bool) {
-        let n = ep.mappings.mappings.len();
-        let mut execs = Vec::with_capacity(n);
-        let mut starts = Vec::with_capacity(n);
-        completions.clear();
-        for i in 0..n {
-            let exec = ep.mappings.mappings[i].profile.latency_us(samples);
-            let busiest = ep.assignments[i]
+        // Start of a path's batch: after its most-backlogged target.
+        let start_of = |i: usize| {
+            ep.assignments[i]
                 .iter()
                 .map(|&(id, _)| free_at[self.slot_of(id)])
-                .fold(f64::NEG_INFINITY, f64::max);
-            let start = busiest.max(now_us);
-            execs.push(exec);
-            starts.push(start);
-            completions.push((start - now_us) + exec);
+                .fold(f64::NEG_INFINITY, f64::max)
+                .max(now_us)
+        };
+        completions.clear();
+        for (i, m) in ep.mappings.mappings.iter().enumerate() {
+            completions.push((start_of(i) - now_us) + m.profile.latency_us(samples));
         }
         let masked = self
             .cfg
@@ -2136,7 +2168,10 @@ impl Cluster {
         );
         let idx = select_mapping(&ep.mappings, completions, sla_remaining_us, true)
             .expect("mapping set is never empty");
-        (idx, execs[idx], starts[idx], masked)
+        // Recompute the chosen path's terms instead of keeping per-path
+        // buffers; identical arithmetic to the scoring pass above.
+        let exec = ep.mappings.mappings[idx].profile.latency_us(samples);
+        (idx, exec, start_of(idx), masked)
     }
 
     /// Closes the newest snapshotted epoch's metric window at
@@ -2190,27 +2225,37 @@ impl Cluster {
     fn assemble(
         &self,
         mut tally: DispatchTally,
-        mut merged: MergerReport,
-        per_node_batches: Vec<u64>,
-        worker_rings: Vec<(String, EventRing)>,
+        reports: Vec<NodeWorkerReport>,
         start: Instant,
     ) -> ClusterReport {
-        // Assemble the recording first so the dropped-events metric in
-        // the final epoch snapshot covers every track, not just the
-        // dispatcher's.
-        let trace = self.cfg.recorder.enabled.then(|| {
-            let mut rec = TraceRecording::new(self.labels.clone());
-            if let Some(ring) = tally.ring.take() {
-                rec.push_ring("dispatcher", ring);
+        let mut histogram = LatencyHistogram::with_subs_per_octave(self.cfg.histogram_subs);
+        let (mut completed, mut samples, mut measured_violations) = (0u64, 0u64, 0u64);
+        let mut checksum = 0.0f64;
+        let mut last_done = start;
+        let mut per_node_batches = vec![0u64; self.nodes.len()];
+        let mut worker_batches = Vec::with_capacity(reports.len());
+        let mut rec = TraceRecording::new(self.labels.clone());
+        if let Some(ring) = tally.ring.take() {
+            rec.push_ring("dispatcher", ring);
+        }
+        for (i, r) in reports.into_iter().enumerate() {
+            let slot = i / self.cfg.workers_per_node;
+            histogram.merge(&r.histogram);
+            completed += r.completed;
+            samples += r.samples;
+            measured_violations += r.measured_violations;
+            checksum += r.checksum;
+            last_done = last_done.max(r.last_done);
+            per_node_batches[slot] += r.batches;
+            worker_batches.push(r.batches);
+            if let Some(ring) = r.ring {
+                let (node, worker) = (self.nodes[slot].id, i % self.cfg.workers_per_node);
+                rec.push_ring(format!("node-{node}-worker-{worker}"), ring);
             }
-            for (name, ring) in worker_rings {
-                rec.push_ring(name, ring);
-            }
-            if let Some(ring) = merged.ring.take() {
-                rec.push_ring("merger", ring);
-            }
-            rec
-        });
+        }
+        // The recording is complete before the final epoch closes, so
+        // the dropped-events metric covers every track.
+        let trace = self.cfg.recorder.enabled.then_some(rec);
         if let Some(rec) = &trace {
             tally.registry.set(MetricId::DroppedTraceEvents, 0, rec.total_dropped());
         }
@@ -2268,14 +2313,14 @@ impl Cluster {
                 "cluster:{}@{}n/{}w",
                 self.cfg.route, self.cfg.nodes, self.cfg.workers_per_node
             ),
-            completed: merged.completed,
-            samples: merged.samples,
+            completed,
+            samples,
             correct_samples: tally.correct_samples,
-            span_s: merged.last_done.duration_since(start).as_secs_f64(),
+            span_s: last_done.duration_since(start).as_secs_f64(),
             sla_violations: tally.virtual_violations,
-            mean_latency_us: merged.histogram.mean_us(),
-            p95_latency_us: merged.histogram.quantile_us(0.95),
-            p99_latency_us: merged.histogram.quantile_us(0.99),
+            mean_latency_us: histogram.mean_us(),
+            p95_latency_us: histogram.quantile_us(0.95),
+            p99_latency_us: histogram.quantile_us(0.99),
             usage: tally.usage,
         };
         ClusterReport {
@@ -2289,10 +2334,11 @@ impl Cluster {
                 .map(|n| final_plan.features_of(n.id).len())
                 .collect(),
             per_node_batches,
-            histogram: merged.histogram,
+            worker_batches,
+            histogram,
             virtual_histogram: tally.virtual_histogram,
             virtual_sla_violations: tally.virtual_violations,
-            measured_sla_violations: merged.measured_violations,
+            measured_sla_violations: measured_violations,
             routed_queries: tally.routed,
             path_decisions: tally.decisions,
             retried_batches: tally.retried_batches,
@@ -2305,7 +2351,7 @@ impl Cluster {
             adaptive_replans: tally.adaptive_replans,
             tenants,
             epochs,
-            checksum: merged.checksum,
+            checksum,
             nodes: self.cfg.nodes,
             trace,
         }
@@ -2400,6 +2446,85 @@ fn path_assignment(
         .into_iter()
         .map(|(id, feats)| (id, Arc::new(feats)))
         .collect()
+}
+
+/// The front-end's single-platform mapping set: one mapping per
+/// selected path, ordered `[hybrid, dhe, table]`, with caller-supplied
+/// analytic per-sample virtual latency and per-batch overhead (the
+/// epoch builder passes its slowest-shard critical-path cost, and an
+/// overhead that charges fewer network hops to paths whose pruned
+/// scatter reaches a single node).
+fn build_path_mappings(
+    m: &RuntimeModelConfig,
+    route: RoutePolicy,
+    accuracy: PathAccuracy,
+    overhead_us_of: impl Fn(PathKind) -> f64,
+    per_sample_us_of: impl Fn(PathKind) -> f64,
+) -> Result<(MappingSet, Vec<PathKind>)> {
+    let builder = WorkloadBuilder::new(
+        "runtime",
+        vec![m.rows_per_feature; m.sparse_features],
+        8,
+    );
+    let dhe_cfg = DheConfig {
+        k: m.dhe_k,
+        dnn: m.dhe_dnn,
+        h: m.dhe_h,
+        out_dim: m.emb_dim,
+    };
+    let all: [(PathKind, RepRole); 3] = [
+        (PathKind::Hybrid, RepRole::Hybrid),
+        (PathKind::Dhe, RepRole::Dhe),
+        (PathKind::Table, RepRole::Table),
+    ];
+    let selected: Vec<(PathKind, RepRole)> = match route {
+        RoutePolicy::MpRec => all.to_vec(),
+        RoutePolicy::Fixed(p) => all.iter().copied().filter(|&(k, _)| k == p).collect(),
+    };
+    let mut mappings = Vec::with_capacity(selected.len());
+    let mut paths = Vec::with_capacity(selected.len());
+    for (path, role) in selected {
+        let (config, workload) = match path {
+            PathKind::Table => (
+                RepresentationConfig::table(m.emb_dim),
+                builder.table(m.emb_dim)?,
+            ),
+            PathKind::Dhe => (
+                RepresentationConfig::dhe(dhe_cfg),
+                builder.dhe(m.dhe_k, m.dhe_dnn, m.dhe_h, m.emb_dim)?,
+            ),
+            PathKind::Hybrid => (
+                RepresentationConfig::hybrid(m.emb_dim, dhe_cfg),
+                builder.hybrid(m.emb_dim, m.dhe_k, m.dhe_dnn, m.dhe_h, m.emb_dim)?,
+            ),
+        };
+        let per_sample_us = per_sample_us_of(path);
+        let overhead_us = overhead_us_of(path);
+        let sizes: Vec<u64> = vec![1, 16, 64, 256, 1024, 4096];
+        let lats: Vec<f64> = sizes
+            .iter()
+            .map(|&n| overhead_us + n as f64 * per_sample_us)
+            .collect();
+        mappings.push(Mapping {
+            rep: CandidateRep {
+                name: path.to_string(),
+                role,
+                config,
+                workload,
+                accuracy: accuracy.of(path),
+            },
+            platform_idx: 0,
+            profile: LatencyProfile::from_points(sizes, lats),
+        });
+        paths.push(path);
+    }
+    Ok((
+        MappingSet {
+            platforms: vec![Platform::cpu()],
+            mappings,
+        },
+        paths,
+    ))
 }
 
 /// Builds one epoch: the pruned per-path assignments and the
@@ -2503,8 +2628,8 @@ fn build_epoch(
 }
 
 /// Closes a queue if the owning thread unwinds, so a panicking node
-/// worker (or merger) can never leave the front-end (or a node worker)
-/// blocked on a bounded `push` with no consumer.
+/// worker can never leave the front-end blocked on a bounded `push`
+/// with no consumer.
 struct CloseOnPanic<'a, T>(&'a BoundedQueue<T>);
 
 impl<T> Drop for CloseOnPanic<'_, T> {
@@ -2515,60 +2640,63 @@ impl<T> Drop for CloseOnPanic<'_, T> {
     }
 }
 
+/// One scatter leg: pools the job's features, and — when this is the
+/// batch's last leg in — gathers the partials and runs the top MLP.
+/// Returns the batch's score checksum when the leg completed the batch,
+/// `None` while other legs are still computing. A single-target batch
+/// pools straight into `pooled`, so it is exactly one whole-model
+/// execute with no partial matrix.
+fn execute_leg(
+    model: &RuntimeModel,
+    job: &ScatterJob,
+    scratch: &mut ScratchSpace,
+    pooled: &mut Matrix,
+    top: &mut MlpScratch,
+) -> Result<Option<f64>> {
+    let b = &job.shared;
+    if b.partials.is_empty() {
+        model.pool_features_into(b.path, &b.specs, &job.features, scratch, pooled)?;
+    } else {
+        let mut partial = Matrix::default();
+        model.pool_features_into(b.path, &b.specs, &job.features, scratch, &mut partial)?;
+        *b.partials[job.slot].lock() = Some(partial);
+        if b.pending.fetch_sub(1, Ordering::AcqRel) != 1 {
+            return Ok(None);
+        }
+        pooled.resize_zeroed(b.total, model.config().emb_dim);
+        for slot in &b.partials {
+            let guard = slot.lock();
+            let partial = guard.as_ref().expect("pending hit zero, all partials present");
+            pooled.add_assign(partial)?;
+        }
+    }
+    model.score_pooled(pooled, top).map(Some)
+}
+
 fn node_worker_loop(
     queue: &BoundedQueue<ScatterJob>,
-    merge: &BoundedQueue<Arc<BatchShared>>,
     model: &RuntimeModel,
     progress: &Progress,
     node_id: u32,
-    recorder: TraceConfig,
+    sla_us: f64,
+    mut report: NodeWorkerReport,
 ) -> NodeWorkerReport {
     let _close_guard = CloseOnPanic(queue);
-    let _close_merge_guard = CloseOnPanic(merge);
     let _fail_guard = FailOnPanic(progress);
-    let mut report = NodeWorkerReport {
-        batches: 0,
-        error: None,
-        // Preallocated before the first batch so steady-state recording
-        // never allocates.
-        ring: recorder.ring(),
-    };
+    // Persistent per-worker buffers: once the first few batches grow
+    // them to their high-water marks, a single-target batch executes
+    // without touching the allocator.
     let mut scratch = model.make_scratch();
+    let mut pooled = Matrix::default();
+    let mut top = MlpScratch::default();
     while let Some(job) = queue.pop() {
         let tiers_before = if report.ring.is_some() {
             model.cache().stats()
         } else {
             CacheStats::default()
         };
-        let mut partial = Matrix::default();
-        match model.pool_features_into(
-            job.shared.path,
-            &job.shared.specs,
-            &job.features,
-            &mut scratch,
-            &mut partial,
-        ) {
-            Ok(_) => {
-                *job.shared.partials[job.slot].lock() = Some(partial);
-                if let Some(ring) = report.ring.as_mut() {
-                    let tiers = tier_delta(&model.cache().stats(), &tiers_before);
-                    ring.record(TraceEvent::node_execute(
-                        job.shared.vstart_us,
-                        job.shared.batch,
-                        node_id,
-                        job.shared.total as u64,
-                        job.shared.vdone_us,
-                        tiers,
-                    ));
-                }
-                report.batches += 1;
-                if job.shared.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    // Last shard done: hand the batch to the merger
-                    // (push only fails if the merger died; its join
-                    // surfaces that).
-                    let _ = merge.push(Arc::clone(&job.shared));
-                }
-            }
+        let scored = match execute_leg(model, &job, &mut scratch, &mut pooled, &mut top) {
+            Ok(scored) => scored,
             Err(e) => {
                 report.error = Some(format!(
                     "node {node_id} batch on path {}: {e}",
@@ -2580,68 +2708,25 @@ fn node_worker_loop(
                 while queue.pop().is_some() {}
                 break;
             }
+        };
+        let b = &job.shared;
+        if let Some(ring) = report.ring.as_mut() {
+            let tiers = tier_delta(&model.cache().stats(), &tiers_before);
+            ring.record(TraceEvent::node_execute(
+                b.vstart_us,
+                b.batch,
+                node_id,
+                b.total as u64,
+                b.vdone_us,
+                tiers,
+            ));
         }
-    }
-    report
-}
-
-#[allow(clippy::too_many_arguments)]
-fn merger_loop(
-    queue: &BoundedQueue<Arc<BatchShared>>,
-    model: &RuntimeModel,
-    progress: &Progress,
-    sla_us: f64,
-    histogram_subs: u32,
-    emb_dim: usize,
-    start: Instant,
-    recorder: TraceConfig,
-) -> MergerReport {
-    let _close_guard = CloseOnPanic(queue);
-    let _fail_guard = FailOnPanic(progress);
-    let mut report = MergerReport {
-        histogram: LatencyHistogram::with_subs_per_octave(histogram_subs),
-        completed: 0,
-        samples: 0,
-        measured_violations: 0,
-        checksum: 0.0,
-        last_done: start,
-        error: None,
-        ring: recorder.ring(),
-    };
-    let mut pooled = Matrix::default();
-    let mut top = MlpScratch::default();
-    while let Some(batch) = queue.pop() {
-        pooled.resize_zeroed(batch.total, emb_dim);
-        let mut failed = None;
-        for slot in &batch.partials {
-            let guard = slot.lock();
-            let partial = guard
-                .as_ref()
-                .expect("pending hit zero, all partials present");
-            if let Err(e) = pooled.add_assign(partial) {
-                failed = Some(format!("gather add: {e}"));
-                break;
-            }
-        }
-        let checksum = match failed {
-            None => match model.score_pooled(&pooled, &mut top) {
-                Ok(c) => c,
-                Err(e) => {
-                    report.error = Some(format!("merge top-mlp: {e}"));
-                    progress.fail();
-                    while queue.pop().is_some() {}
-                    break;
-                }
-            },
-            Some(msg) => {
-                report.error = Some(msg);
-                progress.fail();
-                while queue.pop().is_some() {}
-                break;
-            }
+        report.batches += 1;
+        let Some(checksum) = scored else {
+            continue;
         };
         let now = Instant::now();
-        for q in &batch.queries {
+        for q in &b.queries {
             let latency_us = now.saturating_duration_since(q.real_arrival).as_secs_f64() * 1e6;
             report.histogram.record(latency_us);
             if latency_us > sla_us {
@@ -2653,7 +2738,7 @@ fn merger_loop(
         report.checksum += checksum;
         report.last_done = now;
         if let Some(ring) = report.ring.as_mut() {
-            ring.record(TraceEvent::merge(batch.vdone_us, batch.batch, batch.total as u64));
+            ring.record(TraceEvent::merge(b.vdone_us, b.batch, b.total as u64));
         }
         progress.batch_done();
     }

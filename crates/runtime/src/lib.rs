@@ -60,8 +60,8 @@ pub use cluster::{
     EpochReport, FeatureShardPlan, RebalanceConfig,
 };
 pub use engine::{
-    degrade_rank, serve, Engine, PathAccuracy, RoutePolicy, RuntimeConfig, RuntimeReport,
-    SlaAccounting, TenantReport,
+    serve, Engine, PathAccuracy, RoutePolicy, RuntimeConfig, RuntimeReport, SlaAccounting,
+    TenantReport,
 };
 pub use histogram::{LatencyHistogram, LatencySummary, DEFAULT_SUBS_PER_OCTAVE};
 pub use model::{BatchResult, PathKind, RuntimeModel, RuntimeModelConfig, ScratchSpace};

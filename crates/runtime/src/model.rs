@@ -149,6 +149,10 @@ pub struct RuntimeModel {
     zipf: Zipf,
     tenant_zipfs: Vec<Zipf>,
     seed: u64,
+    /// `0..sparse_features`: the feature list a whole-model execution
+    /// pools, built once so [`RuntimeModel::execute_with`] does not
+    /// allocate it per batch.
+    all_features: Vec<usize>,
 }
 
 /// Seed salt separating per-user personal-pool IDs from the Zipf stream.
@@ -267,6 +271,7 @@ impl RuntimeModel {
             zipf,
             tenant_zipfs,
             seed,
+            all_features: (0..cfg.sparse_features).collect(),
         })
     }
 
@@ -400,37 +405,22 @@ impl RuntimeModel {
         queries: &[(u64, u64)],
         scratch: &mut ScratchSpace,
     ) -> Result<BatchResult> {
-        let total: u64 = queries.iter().map(|&(_, s)| s).sum();
-        if total == 0 {
-            return Ok(BatchResult { samples: 0, checksum: 0.0 });
-        }
-        for ids in scratch.per_feature.iter_mut() {
-            ids.clear();
-        }
-        for &(qid, size) in queries {
-            self.draw_query_ids(qid, size, &mut scratch.per_feature);
-        }
-        scratch.pooled.resize_zeroed(total as usize, self.cfg.emb_dim);
-        for (feature, ids) in scratch.per_feature.iter().enumerate() {
-            if self.path_uses_dhe(path, feature) {
-                self.cache.embed_batch_into(
-                    &self.stacks[feature],
-                    feature,
-                    ids,
-                    &mut scratch.cache,
-                    &mut scratch.emb,
-                )?;
-            } else {
-                self.tables[feature].forward_dedup_into(
-                    ids,
-                    &mut scratch.gather,
-                    &mut scratch.emb,
-                )?;
-            }
-            scratch.pooled.add_assign(&scratch.emb)?;
-        }
-        let checksum = self.score_pooled(&scratch.pooled, &mut scratch.top)?;
-        Ok(BatchResult { samples: total, checksum })
+        // Whole-model execution is the scatter half over every feature
+        // followed by the gather half; the pooled matrix moves out of
+        // the scratch for the call (a move, not an allocation).
+        let mut pooled = std::mem::take(&mut scratch.pooled);
+        let result = self
+            .pool_features_into(path, queries, &self.all_features, scratch, &mut pooled)
+            .and_then(|samples| {
+                let checksum = if samples == 0 {
+                    0.0
+                } else {
+                    self.score_pooled(&pooled, &mut scratch.top)?
+                };
+                Ok(BatchResult { samples, checksum })
+            });
+        scratch.pooled = pooled;
+        result
     }
 
     /// Scatter half of the cluster's scatter/gather execution: pools the

@@ -4,11 +4,14 @@
 //! the multi-threaded runtime (`mprec-runtime`) instead micro-batches
 //! queries under an SLA-aware deadline/size policy and routes whole
 //! batches. This module is the simulator-side counterpart of that
-//! contract: given the *same* trace and the *same* virtual-time mapping
-//! set, [`replay`] reproduces — by an independent discrete-event
-//! implementation — the batch boundaries, the per-batch path decisions,
-//! the virtual completion times, and the aggregate outcome counts the
-//! runtime's dispatcher produces.
+//! contract: given the *same* trace and the *same* virtual-time epoch
+//! spec, [`replay_cluster`] reproduces — by an independent
+//! discrete-event implementation — the batch boundaries, the per-batch
+//! path decisions, the virtual completion times, and the aggregate
+//! outcome counts the runtime's dispatcher produces. The single-node
+//! [`replay`] is that same twin over a one-epoch spec, just as the
+//! runtime's `Engine` is a one-node `Cluster`, so there is one
+//! dispatcher and one twin to keep in agreement.
 //!
 //! The differential harness (`tests/sim_vs_runtime.rs`) holds the two
 //! implementations to exact agreement on outcome counts, decision
@@ -31,8 +34,7 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 
-use mprec_core::candidates::RepRole;
-use mprec_core::planner::MappingSet;
+use mprec_core::planner::{Mapping, MappingSet};
 use mprec_core::scheduler::{class_pressure_mask, select_mapping, Scheduler, SchedulerConfig};
 use mprec_data::query::Query;
 use mprec_data::scenario::{self, ChaosConfig, FaultPlan};
@@ -79,19 +81,6 @@ impl ReplayConfig {
             .get(tenant)
             .copied()
             .unwrap_or_else(|| SlaClass::strict(self.sla_us))
-    }
-}
-
-/// The SLA-class degrade rank the replay derives from a mapping's
-/// representation role — the twin of `mprec-runtime`'s
-/// `degrade_rank(path)`, which the runtime computes from its path
-/// kinds. Hybrid masks first under class pressure, DHE variants at the
-/// table-only rung, and everything else (table paths) never.
-pub fn degrade_rank_of(role: RepRole) -> u32 {
-    match role {
-        RepRole::Hybrid => 2,
-        RepRole::Dhe | RepRole::DheCompact => 1,
-        _ => 0,
     }
 }
 
@@ -164,171 +153,60 @@ impl ReplayResult {
 ///    arrival time);
 /// 3. reaching `max_batch_samples` flushes immediately;
 /// 4. the final partial batch flushes at its deadline;
-/// 5. each flush routes via Algorithm 2 (`Scheduler::route`) with the
-///    batch's remaining SLA budget, measured from the oldest query.
+/// 5. each flush routes via Algorithm 2 with the batch's remaining SLA
+///    budget, measured from the oldest query, over per-platform FIFO
+///    backlogs.
+///
+/// This is [`replay_cluster`] over a one-epoch spec whose "nodes" are
+/// the mapping set's platforms (each mapping targets its own platform,
+/// every platform is live, no churn, chaos inert) — the same lowering
+/// the runtime's single-node `Engine` makes onto its `Cluster`.
 pub fn replay(mappings: &MappingSet, trace: &[Query], cfg: &ReplayConfig) -> ReplayResult {
     replay_traced(mappings, trace, cfg, TraceConfig::default()).0
 }
 
-/// [`replay`] with a flight recorder: when `recorder.enabled`, the
-/// replay's dispatcher decisions are recorded into a `dispatcher` track
-/// in exactly the runtime engine's event order and virtual stamps —
-/// `Enqueue` at admission, then per flush `BatchFormed`,
-/// `RouteDecision` (with every candidate's scored completion),
-/// `Execute`, and one `Complete` per query. The differential tests
-/// compare this track's twin-pinned events against the runtime's.
+/// [`replay`] with a flight recorder: the `dispatcher` track of
+/// [`replay_cluster_traced`] over the one-epoch platform spec.
 pub fn replay_traced(
     mappings: &MappingSet,
     trace: &[Query],
     cfg: &ReplayConfig,
     recorder: TraceConfig,
 ) -> (ReplayResult, Option<TraceRecording>) {
-    let labels: Vec<String> = mappings
-        .mappings
-        .iter()
-        .map(|m| m.label(&mappings.platforms))
-        .collect();
-    let mut sched = Scheduler::new(mappings.clone(), SchedulerConfig::default());
-    let ranks: Vec<u32> = mappings
-        .mappings
-        .iter()
-        .map(|m| degrade_rank_of(m.rep.role))
-        .collect();
-    let tenant_count = tenant_count_of(trace, cfg);
-    let mut tenants: Vec<TenantOutcome> = vec![TenantOutcome::default(); tenant_count];
-    let mut batches: Vec<ReplayBatch> = Vec::new();
-    let mut usage = PathUsage::default();
-    let mut latencies: Vec<f64> = Vec::with_capacity(trace.len());
-    let mut samples = 0u64;
-    let mut correct = 0.0f64;
-    let mut violations = 0u64;
-    let mut shed_queries = 0u64;
-    let mut last_completion = 0.0f64;
-    // RefCell because admission (Enqueue) and flush both record; the
-    // two closures otherwise could not share a `&mut` ring.
-    let ring = RefCell::new(recorder.ring());
-    let mut completions: Vec<f64> = Vec::new();
-
-    let flush = |pending: &mut Vec<&Query>, pending_samples: &mut u64, tenant: usize, flush_at_us: f64| {
-        let class = cfg.class_of(tenant);
-        let oldest_us = pending[0].arrival_us as f64;
-        sched.advance_to(flush_at_us);
-        let backlog_us = sched.max_backlog_us();
-        if class.sheds(backlog_us) {
-            // Class shed, mirroring the engine: the loose tenant's
-            // whole batch takes an explicit Shed outcome.
-            let tt = &mut tenants[tenant];
-            for q in pending.iter() {
-                shed_queries += 1;
-                tt.shed_queries += 1;
-                if let Some(r) = ring.borrow_mut().as_mut() {
-                    r.record(TraceEvent::shed(flush_at_us, q.id, q.size as u64, backlog_us));
-                }
-            }
-            pending.clear();
-            *pending_samples = 0;
-            return;
-        }
-        let sla_remaining = (class.sla_us - (flush_at_us - oldest_us)).max(1.0);
-        let decision = sched
-            .route_classed_into(
-                *pending_samples,
-                sla_remaining,
-                &ranks,
-                class.narrow_backlog_us,
-                class.table_only_backlog_us,
-                &mut completions,
-            )
-            .expect("mapping set is never empty");
-        let done_us = sched.commit(&decision);
-        let batch = batches.len() as u64;
-        if let Some(r) = ring.borrow_mut().as_mut() {
-            r.record(TraceEvent::batch_formed(
-                flush_at_us,
-                batch,
-                pending.len() as u64,
-                *pending_samples,
-                oldest_us,
-            ));
-            r.record(TraceEvent::route_decision(
-                flush_at_us,
-                batch,
-                *pending_samples,
-                0,
-                sla_remaining,
-                decision.mapping_idx as i32,
-                &completions,
-            ));
-            r.record(TraceEvent::execute(
-                done_us - decision.exec_us,
-                batch,
-                0,
-                done_us,
-            ));
-        }
-        let accuracy = mappings.mappings[decision.mapping_idx].rep.accuracy as f64;
-        let label = &labels[decision.mapping_idx];
-        let mut queries = Vec::with_capacity(pending.len());
-        let tt = &mut tenants[tenant];
-        for q in pending.iter() {
-            let latency = done_us - q.arrival_us as f64;
-            if latency > class.sla_us {
-                violations += 1;
-                tt.sla_violations += 1;
-            }
-            tt.completed += 1;
-            tt.samples += q.size as u64;
-            tt.latency_sum_us += latency;
-            if let Some(r) = ring.borrow_mut().as_mut() {
-                r.record(TraceEvent::complete(done_us, q.id, batch, latency));
-            }
-            latencies.push(latency);
-            samples += q.size as u64;
-            correct += q.size as f64 * accuracy;
-            usage.record(label, q.size as u64);
-            queries.push((q.id, q.size as u64));
-        }
-        last_completion = last_completion.max(done_us);
-        batches.push(ReplayBatch {
-            mapping_idx: decision.mapping_idx,
-            queries,
-            done_us,
-        });
-        pending.clear();
-        *pending_samples = 0;
+    let spec = ClusterReplaySpec {
+        epochs: vec![ClusterEpochSpec {
+            mappings: mappings.clone(),
+            targets: mappings
+                .mappings
+                .iter()
+                .map(|m| vec![m.platform_idx as u32])
+                .collect(),
+            live: (0..mappings.platforms.len() as u32).collect(),
+            hedge_next: Vec::new(),
+        }],
+        events: Vec::new(),
+        faults: FaultPlan::default(),
+        chaos: ChaosConfig::default(),
     };
-    let on_admit = |q: &Query| {
-        if let Some(r) = ring.borrow_mut().as_mut() {
-            r.record(TraceEvent::enqueue(q.arrival_us as f64, q.id, q.size as u64));
-        }
-    };
-    drive_batches(trace, cfg, tenant_count, on_admit, flush);
-
-    let outcome = ServingOutcome::from_latency_samples(
-        "replay",
-        latencies,
-        samples,
-        correct,
-        violations,
-        last_completion / 1e6,
-        usage,
-    );
-    let trace_rec = recorder.enabled.then(|| {
-        let mut rec = TraceRecording::new(labels);
-        if let Some(r) = ring.into_inner() {
-            rec.push_ring("dispatcher", r);
-        }
-        rec
-    });
-    (
-        ReplayResult {
-            outcome,
-            batches,
-            shed_queries,
-            tenants,
+    let (r, rec) = replay_cluster_traced(&spec, trace, cfg, recorder);
+    let result = ReplayResult {
+        outcome: ServingOutcome {
+            policy: "replay".into(),
+            ..r.outcome
         },
-        trace_rec,
-    )
+        batches: r
+            .batches
+            .into_iter()
+            .map(|b| ReplayBatch {
+                mapping_idx: b.mapping_idx,
+                queries: b.queries,
+                done_us: b.done_us,
+            })
+            .collect(),
+        shed_queries: r.shed_queries,
+        tenants: r.tenants,
+    };
+    (result, rec)
 }
 
 /// Replays `trace` through a **closed-loop** load driver over the same
@@ -436,10 +314,6 @@ fn tenant_count_of(trace: &[Query], cfg: &ReplayConfig) -> usize {
 /// of the twin contract). A legacy trace (every id tenant 0) collapses
 /// to the historical single-pending behaviour bit for bit.
 ///
-/// Shared by [`replay`] and [`replay_cluster`]: the independence
-/// contract is between this crate and `mprec-runtime`, not between the
-/// two sims — a batching-rule change must reach both at once or the
-/// differential tests would pin one twin to stale semantics.
 fn drive_batches<'t>(
     trace: &'t [Query],
     cfg: &ReplayConfig,
@@ -546,10 +420,6 @@ pub struct ClusterReplaySpec {
     /// backoff, brownout). The inert default reproduces the legacy
     /// single-attempt accounting bit for bit.
     pub chaos: ChaosConfig,
-    /// Brownout degrade rank per mapping index (2 = hybrid, masked
-    /// first; 1 = DHE; 0 = table, never masked). Computed by the
-    /// runtime from its path kinds.
-    pub degrade_rank: Vec<u32>,
 }
 
 /// One routed micro-batch of a cluster replay.
@@ -660,6 +530,12 @@ pub fn replay_cluster_traced(
     let mut free_at: BTreeMap<u32, f64> = BTreeMap::new();
     let mut cur_epoch = 0usize;
     let ring = RefCell::new(recorder.ring());
+    let rank_of = |m: &Mapping| m.rep.role.degrade_rank();
+    let ranks: Vec<Vec<u32>> = spec
+        .epochs
+        .iter()
+        .map(|ep| ep.mappings.mappings.iter().map(rank_of).collect())
+        .collect();
 
     let flush = |pending: &mut Vec<&Query>, pending_samples: &mut u64, tenant: usize, flush_at_us: f64| {
         while cur_epoch < spec.events.len() && spec.events[cur_epoch].at_us <= flush_at_us {
@@ -730,9 +606,9 @@ pub fn replay_cluster_traced(
             completions.push((start - flush_at_us) + exec);
         }
         spec.chaos
-            .brownout_mask(&spec.degrade_rank, backlog_us, &mut completions);
+            .brownout_mask(&ranks[e], backlog_us, &mut completions);
         class_pressure_mask(
-            &spec.degrade_rank,
+            &ranks[e],
             backlog_us,
             class.narrow_backlog_us,
             class.table_only_backlog_us,

@@ -1,8 +1,8 @@
 //! Virtual-time flight recorder for the MP-Rec serving stack.
 //!
-//! Every layer of the runtime (engine dispatcher, engine workers, cluster
-//! dispatcher, node worker pools, merger) and the deterministic replay
-//! twins in `mprec-serving` record fixed-size [`TraceEvent`]s into
+//! Every layer of the runtime (the cluster dispatcher — the engine is a
+//! one-node cluster — and the node worker pools) and the deterministic
+//! replay twins in `mprec-serving` record fixed-size [`TraceEvent`]s into
 //! preallocated [`EventRing`]s. Events are stamped in **virtual time**
 //! (the same deterministic clock Algorithm 2 routes against), so a
 //! recording is bit-reproducible for a given `(config, seed)` and is
@@ -42,7 +42,7 @@
 //! Dispatcher-side events are pure functions of `(config, seed)` and are
 //! reproduced bit-for-bit by `mprec-serving::{replay, replay_cluster}`;
 //! [`EventKind::is_twin_pinned`] marks them. `NodeExecute` and `Merge`
-//! land on worker/merger threads (their *stamps* are virtual, but their
+//! land on node worker threads (their *stamps* are virtual, but their
 //! ring order depends on wall-clock scheduling), and
 //! `EpochBarrier`/`WarmStart`/`MigrationStart`/`MigrationDone` are
 //! runtime-membership bookkeeping (the twin consumes the resulting
@@ -109,7 +109,8 @@ pub enum EventKind {
     NodeExecute,
     /// The executing node failed mid-flight; the batch re-routes.
     Retry,
-    /// The merger gathered the last partial (runtime only).
+    /// The worker running a batch's last leg gathered the partials and
+    /// scored the batch (runtime only).
     Merge,
     /// A query's result was finalized at its virtual completion time.
     Complete,
@@ -591,7 +592,7 @@ impl TraceConfig {
 /// counter.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrackRecording {
-    /// Track name (`dispatcher`, `worker-0`, `node-1`, `merger`, ...).
+    /// Track name (`dispatcher`, `node-0-worker-1`, ...).
     pub name: String,
     /// Kept events, oldest first (recording order).
     pub events: Vec<TraceEvent>,

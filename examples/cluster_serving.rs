@@ -3,7 +3,8 @@
 //! simulated nodes (each with its own worker, model replica, and
 //! MP-Cache state), a front-end scatters every micro-batch to the
 //! *pruned* target set of its routed path, the nodes compute partial
-//! pooled embeddings, and a merger gathers them through the top MLP.
+//! pooled embeddings, and the node finishing a batch's last leg gathers
+//! them through the top MLP.
 //! Runs two traffic scenarios — steady Poisson and hot-key drift —
 //! printing the shard layout, per-node cache hit rates (drift visibly
 //! cools the caches; a node owning only replicated table-half features

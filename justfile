@@ -113,3 +113,11 @@ trace-viz:
 # virtual timestamps, nonzero route decisions). Mirrors the CI step.
 trace-smoke:
     timeout 300 cargo run --release -p mprec-bench --bin trace_viz -- --smoke
+
+# Benchmark-of-record smoke: each perfbench workload for 5 s with tracing
+# off. Every serve is checked against the replay twin and for query
+# conservation; a failed check exits nonzero. Mirrors the CI step.
+perfbench-smoke:
+    timeout 300 python3 perfbench/run.py --workload offline-engine --seconds 5 --trace 0
+    timeout 300 python3 perfbench/run.py --workload open-loop-tenants --seconds 5 --trace 0
+    timeout 300 python3 perfbench/run.py --workload offline-cluster-drift --seconds 5 --trace 0

@@ -792,6 +792,39 @@ fn streaming_migration_and_adaptive_replan_twins_agree_event_for_event() {
     );
 }
 
+#[test]
+fn adaptive_planner_switches_at_the_first_flush_of_an_instant() {
+    // Regression: two flushes can share one virtual instant (a
+    // 16-sample budget makes any query above 16 samples flush the
+    // pending batch and then itself at its arrival). The planner used
+    // to evaluate at every flush, so it could fire at the second flush
+    // of an instant while the replay twin, which applies a spec event
+    // at the first flush at or after its timestamp, switched epochs one
+    // flush earlier. The planner now evaluates only at the first flush
+    // of each distinct instant. Seed 2 of this small hot-key-drift
+    // config diverged before the fix.
+    let mut cfg = ClusterConfig {
+        scenario: LoadScenario::HotKeyDrift { epochs: 6 },
+        max_batch_samples: 16,
+        seed: 2,
+        rebalance: RebalanceConfig {
+            adaptive: true,
+            adaptive_threshold_us: 50.0,
+            adaptive_cooldown_us: 1_000.0,
+            adaptive_max_moves: 1,
+            ..RebalanceConfig::default()
+        },
+        ..cluster_cfg(2, 1, 0)
+    };
+    cfg.trace.num_queries = 300;
+    let (cluster, report, sim) = run_cluster_both(cfg);
+    assert!(
+        report.adaptive_replans >= 1,
+        "the planner must fire for the agreement to be non-vacuous"
+    );
+    assert_cluster_agreement(&cluster, &report, &sim);
+}
+
 // ---------------------------------------------------------------------------
 // Chaos plane: deterministic fault injection + lifecycle hardening.
 // The fault schedule lives entirely in the config, so the replay twin
