@@ -1,7 +1,8 @@
 //! Kernel throughput sweep: naive vs tiled GEMM GFLOP/s across sizes,
-//! table-gather bandwidth, DHE encode rate, and end-to-end
-//! `RuntimeModel` samples/s before (naive kernels + allocating execute)
-//! vs after (tiled kernels + zero-allocation scratch execute). Writes
+//! table gather-add bandwidth, Zipf draw cost, DHE encode rate, and
+//! end-to-end `RuntimeModel` samples/s before (naive kernels +
+//! allocating execute) vs after (tiled kernels + zero-allocation scratch
+//! execute). Writes
 //! `BENCH_kernels.json` (the repo's kernel-perf trajectory artifact).
 //!
 //! Usage:
@@ -13,7 +14,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use mprec_data::Zipf;
-use mprec_embed::{DheEncoder, EmbeddingTable, GatherScratch};
+use mprec_embed::{DheEncoder, EmbeddingTable};
 use mprec_runtime::{PathKind, RuntimeModel, RuntimeModelConfig};
 use mprec_tensor::{init, kernels, Kernel, Matrix};
 use rand::rngs::StdRng;
@@ -68,8 +69,8 @@ fn gemm_cell(m: usize, k: usize, n: usize, reps: usize) -> GemmCell {
     }
 }
 
-/// Table gather: dedup arena gather over a Zipf trace, reported as
-/// GB/s of embedding bytes moved (read + write).
+/// Table gather: fused gather + pooling add over a Zipf trace, reported
+/// as GB/s of embedding bytes moved (row read + pooled read + write).
 fn gather_gbps(reps: usize) -> f64 {
     let rows = 200_000u64;
     let dim = 32usize;
@@ -78,13 +79,26 @@ fn gather_gbps(reps: usize) -> f64 {
     let table = EmbeddingTable::new(rows, dim, &mut rng).unwrap();
     let zipf = Zipf::new(rows, 1.05);
     let ids: Vec<u64> = (0..batch).map(|_| zipf.sample(&mut rng)).collect();
-    let mut scratch = GatherScratch::new();
-    let mut out = Matrix::zeros(0, 0);
+    let mut out = Matrix::zeros(batch, dim);
     let t = best_of(reps, || {
-        table.forward_dedup_into(&ids, &mut scratch, &mut out).unwrap();
+        table.gather_add_into(&ids, &mut out).unwrap();
         std::hint::black_box(&out);
     });
-    (2 * batch * dim * 4) as f64 / t / 1e9
+    (3 * batch * dim * 4) as f64 / t / 1e9
+}
+
+/// Nanoseconds per Zipf draw over the serving default's support
+/// (50K rows, exponent 1.05), RNG included.
+fn zipf_sample_ns(reps: usize) -> f64 {
+    let draws = 1 << 16;
+    let zipf = Zipf::new(50_000, 1.05);
+    let mut rng = StdRng::seed_from_u64(13);
+    let t = best_of(reps, || {
+        for _ in 0..draws {
+            std::hint::black_box(zipf.sample(&mut rng));
+        }
+    });
+    t * 1e9 / draws as f64
 }
 
 /// DHE encoder hashing rate in million samples (IDs) per second.
@@ -179,8 +193,10 @@ fn main() {
     }
 
     let gather = gather_gbps(reps);
+    let zipf_ns = zipf_sample_ns(reps);
     let encode = dhe_encode_msps(reps);
-    println!("\ntable gather (dedup, zipf 8192x32): {gather:.2} GB/s");
+    println!("\ntable gather-add (zipf 8192x32):     {gather:.2} GB/s");
+    println!("zipf sample (50K ranks, s=1.05):    {zipf_ns:.2} ns/draw");
     println!("dhe encode (k=32, 8192 ids):        {encode:.2} Msamples/s");
 
     // Serving-default model: hybrid path through the full MP-Cache
@@ -234,6 +250,7 @@ fn main() {
     }
     json.push_str("  ],\n");
     let _ = writeln!(json, "  \"table_gather_gbps\": {gather:.3},");
+    let _ = writeln!(json, "  \"zipf_sample_ns\": {zipf_ns:.3},");
     let _ = writeln!(json, "  \"dhe_encode_msamples_per_s\": {encode:.3},");
     let _ = writeln!(json, "  \"runtime_before_samples_per_s\": {before_sps:.1},");
     let _ = writeln!(json, "  \"runtime_after_samples_per_s\": {after_sps:.1},");

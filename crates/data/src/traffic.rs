@@ -331,6 +331,14 @@ impl TrafficConfig {
                     spec.name, spec.session_repeat
                 ));
             }
+            // The id skew's support (rows per feature) is the model's;
+            // its mass is checked when the model is built.
+            if !Zipf::mass_is_finite(spec.users, spec.user_zipf) || !spec.id_zipf.is_finite() {
+                return Err(format!(
+                    "tenant {t} ({}): zipf exponents need a finite mass, got user {} id {}",
+                    spec.name, spec.user_zipf, spec.id_zipf
+                ));
+            }
         }
         Ok(())
     }
@@ -455,6 +463,21 @@ mod tests {
             (0..17).map(|i| TenantSpec::ranking(format!("t{i}"), 10, 100.0)).collect();
         assert!(cfg.validate().is_err(), "tenant budget enforced");
         assert!(two_tenants().validate().is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_non_finite_zipf_exponents() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut cfg = two_tenants();
+            cfg.tenants[1].user_zipf = bad;
+            assert!(cfg.validate().is_err(), "user_zipf {bad} accepted");
+            let mut cfg = two_tenants();
+            cfg.tenants[0].id_zipf = bad;
+            assert!(cfg.validate().is_err(), "id_zipf {bad} accepted");
+        }
+        let mut cfg = two_tenants();
+        cfg.tenants[1].user_zipf = -1000.0;
+        assert!(cfg.validate().is_err(), "overflowing user_zipf accepted");
     }
 
     #[test]

@@ -7,10 +7,12 @@ use rand::Rng;
 ///
 /// Recommendation traces follow such power laws (paper §4.3, Fig. 16a:
 /// "hot row IDs have 10K+ access counts while others are barely accessed").
-/// Sampling uses binary search over a precomputed CDF (`O(log n)` per draw),
-/// which is exact and fast for the scaled-down cardinalities used in
-/// training; paper-scale *trace statistics* only need the analytic mass
-/// functions exposed here.
+/// Sampling is an exact inverse CDF: a guide table of `K + 1` bucket
+/// starts narrows each draw to the few ranks whose CDF crosses the
+/// draw's bucket, so a draw costs O(1) expected probes instead of a
+/// branch-mispredicting binary search over the whole CDF. Paper-scale
+/// *trace statistics* only need the analytic mass functions exposed
+/// here.
 ///
 /// # Examples
 ///
@@ -28,22 +30,28 @@ pub struct Zipf {
     n: u64,
     exponent: f64,
     cdf: Vec<f64>,
-    /// Cumulative mass of the first [`HEAD`] ranks: draws below it search
-    /// only the cache-resident head of the CDF.
-    head_mass: f64,
+    /// `guide[j]` is the first rank whose CDF is `>= j / K` (capped at
+    /// `n - 1`), for `j` in `0..=K` with `K = guide.len() - 1`.
+    guide: Vec<u32>,
 }
 
-/// Hot-head size for the two-level sample search (see [`Zipf::sample`]).
-const HEAD: usize = 256;
+/// Upper bound on the guide table's bucket count `K`.
+const GUIDE_CAP: usize = 1 << 16;
 
 impl Zipf {
     /// Creates a sampler over `0..n` with the given exponent.
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0`.
+    /// Panics if `n == 0`, if `n` exceeds `2^32`, or unless
+    /// [`Zipf::mass_is_finite`] holds.
     pub fn new(n: u64, exponent: f64) -> Self {
         assert!(n > 0, "zipf support must be non-empty");
+        assert!(n <= 1 << 32, "zipf support must fit u32 ranks, got {n}");
+        assert!(
+            Self::mass_is_finite(n, exponent),
+            "zipf mass over {n} ranks must be finite, got exponent {exponent}"
+        );
         let mut cdf = Vec::with_capacity(n as usize);
         let mut acc = 0.0f64;
         for r in 0..n {
@@ -54,13 +62,34 @@ impl Zipf {
         for v in cdf.iter_mut() {
             *v /= total;
         }
-        let head_mass = cdf[HEAD.min(cdf.len()) - 1];
+        // One merge-style pass: bucket edges j/K are exact (K is a power
+        // of two) and ascending, so the rank cursor only moves forward.
+        let k = (n as usize).next_power_of_two().min(GUIDE_CAP);
+        let last = cdf.len() - 1;
+        let mut guide = Vec::with_capacity(k + 1);
+        let mut r = 0usize;
+        for j in 0..=k {
+            let edge = j as f64 / k as f64;
+            while r < last && cdf[r] < edge {
+                r += 1;
+            }
+            guide.push(r as u32);
+        }
         Zipf {
             n,
             exponent,
             cdf,
-            head_mass,
+            guide,
         }
+    }
+
+    /// Whether a Zipf over `n` ranks with this exponent has a finite
+    /// probability mass — the configuration check callers run before
+    /// [`Zipf::new`]. Each of the `n` terms is at most `max(1, n^-s)`,
+    /// so a finite `n^(1-s)` bounds the mass; this rejects NaN and
+    /// infinite exponents and ones so negative that the mass overflows.
+    pub fn mass_is_finite(n: u64, exponent: f64) -> bool {
+        exponent.is_finite() && (n as f64).powf(1.0 - exponent).is_finite()
     }
 
     /// Support size.
@@ -74,24 +103,24 @@ impl Zipf {
     }
 
     /// Draws one rank.
-    ///
-    /// Two-level search: under a power law most draws land in the first
-    /// `HEAD` ranks, whose CDF prefix (2 KB) stays cache-resident, so
-    /// the common case never touches the cold middle of the full CDF the
-    /// way a plain binary search's first probes do. Both levels are
-    /// binary searches over the same array, so the rank drawn for a
-    /// given uniform value is identical to the single-level search.
     pub fn sample(&self, rng: &mut impl Rng) -> u64 {
-        let u: f64 = rng.gen();
-        let cdf = if u <= self.head_mass && self.cdf.len() > HEAD {
-            &self.cdf[..HEAD]
-        } else {
-            &self.cdf[..]
-        };
-        match cdf.binary_search_by(|probe| probe.partial_cmp(&u).expect("cdf is finite")) {
-            Ok(i) => i as u64,
-            Err(i) => (i as u64).min(self.n - 1),
-        }
+        self.rank_of(rng.gen())
+    }
+
+    /// The rank a uniform draw `u` in `[0, 1)` maps to: the first rank
+    /// whose CDF is `>= u`, capped at `n - 1`.
+    ///
+    /// `u` lies in bucket `j = floor(u * K)`, so `j / K <= u < (j+1) / K`
+    /// (exact: `K` is a power of two). The answer is therefore at least
+    /// `guide[j]` and at most `guide[j+1]`, and only that closed range
+    /// is searched.
+    fn rank_of(&self, u: f64) -> u64 {
+        let k = self.guide.len() - 1;
+        let j = ((u * k as f64) as usize).min(k - 1);
+        let lo = self.guide[j] as usize;
+        let hi = self.guide[j + 1] as usize;
+        let rank = lo + self.cdf[lo..=hi].partition_point(|&c| c < u);
+        (rank as u64).min(self.n - 1)
     }
 
     /// Probability mass of rank `r`.
@@ -156,8 +185,8 @@ mod tests {
 
     #[test]
     fn two_level_search_matches_full_binary_search() {
-        // The head fast path must draw exactly the rank the single-level
-        // search would for the same uniform value.
+        // The guide-table draw must return exactly the rank a binary
+        // search over the whole CDF returns for the same uniform value.
         let z = Zipf::new(10_000, 1.05);
         let mut rng = StdRng::seed_from_u64(77);
         let mut reference = StdRng::seed_from_u64(77);
@@ -197,6 +226,59 @@ mod tests {
         let _ = Zipf::new(0, 1.0);
     }
 
+    #[test]
+    #[should_panic(expected = "finite")]
+    fn nan_exponent_panics() {
+        let _ = Zipf::new(100, f64::NAN);
+    }
+
+    #[test]
+    fn mass_check_rejects_non_finite_and_overflowing_exponents() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1000.0] {
+            assert!(!Zipf::mass_is_finite(50_000, bad), "exponent {bad}");
+        }
+        for ok in [-0.5, 0.0, 1.05, 2.0, 300.0] {
+            assert!(Zipf::mass_is_finite(50_000, ok), "exponent {ok}");
+            assert!(Zipf::new(50_000, ok).top_k_mass(50_000).is_finite());
+        }
+    }
+
+    /// Support sizes around the guide-table boundaries: one rank, a
+    /// power of two and its neighbours, the serving default, and one
+    /// above the 2^16 bucket cap.
+    const GUIDE_SIZES: [u64; 7] = [1, 2, 255, 256, 257, 50_000, 70_000];
+
+    /// Checks the guide-table rank against the reference inverse CDF
+    /// (first rank with `cdf >= u` over the whole CDF, capped at `n - 1`)
+    /// at every bucket edge `j/K`, at the largest draw below 1, and at
+    /// random draws; returns the first disagreement.
+    fn guide_mismatch(z: &Zipf, seed: u64) -> Option<String> {
+        let k = z.guide.len() - 1;
+        let edges = (0..k).map(|j| j as f64 / k as f64);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let random: Vec<f64> = (0..512).map(|_| rng.gen()).collect();
+        edges
+            .chain([1.0 - f64::EPSILON / 2.0])
+            .chain(random)
+            .find_map(|u| {
+                let want = (z.cdf.partition_point(|&c| c < u) as u64).min(z.n - 1);
+                let got = z.rank_of(u);
+                (got != want).then(|| format!("u = {u}: guide {got} vs full {want}"))
+            })
+    }
+
+    #[test]
+    fn guide_table_is_exact_at_the_exponent_range_ends() {
+        // Exponent 0 puts CDF values exactly on the bucket edges of the
+        // power-of-two sizes, so a draw that ties a CDF value is covered.
+        for n in GUIDE_SIZES {
+            for s in [0.0, 2.0] {
+                let z = Zipf::new(n, s);
+                assert_eq!(guide_mismatch(&z, n), None, "n = {n}, s = {s}");
+            }
+        }
+    }
+
     proptest! {
         #[test]
         fn samples_in_support(n in 1u64..500, s in 0.1f64..2.0, seed in any::<u64>()) {
@@ -205,6 +287,17 @@ mod tests {
             for _ in 0..20 {
                 prop_assert!(z.sample(&mut rng) < n);
             }
+        }
+
+        #[test]
+        fn guide_table_rank_equals_full_cdf_search(
+            size in 0usize..GUIDE_SIZES.len(),
+            milli_s in 0u32..2001,
+            seed in any::<u64>(),
+        ) {
+            let z = Zipf::new(GUIDE_SIZES[size], f64::from(milli_s) / 1000.0);
+            let mismatch = guide_mismatch(&z, seed);
+            prop_assert!(mismatch.is_none(), "{}", mismatch.unwrap_or_default());
         }
 
         #[test]

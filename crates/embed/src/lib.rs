@@ -43,7 +43,7 @@ mod table;
 pub use config::{DheConfig, RepresentationConfig, RepresentationKind};
 pub use dhe::{DheEncoder, DheStack};
 pub use layer::{EmbeddingLayer, FeatureEmbedding};
-pub use table::{EmbeddingTable, GatherScratch};
+pub use table::EmbeddingTable;
 
 use std::error::Error;
 use std::fmt;

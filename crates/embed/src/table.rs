@@ -1,31 +1,9 @@
 //! The storage representation: a learned embedding table (paper §2.1).
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-
-use mprec_data::SplitMixBuildHasher;
 use mprec_tensor::{init, Matrix};
 use rand::Rng;
 
 use crate::{EmbedError, Result};
-
-/// Reusable duplicate-ID index for [`EmbeddingTable::forward_dedup_into`].
-///
-/// Holds the `id -> first output row` map across batches so the dedup
-/// gather allocates nothing in steady state (the map is cleared, not
-/// dropped, between batches). Hashing is one SplitMix64 round per probe,
-/// keeping the dedup overhead below the cost of a cold table-row read.
-#[derive(Debug, Default)]
-pub struct GatherScratch {
-    first_row: HashMap<u64, u32, SplitMixBuildHasher>,
-}
-
-impl GatherScratch {
-    /// Creates an empty scratch (the map grows on first use).
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
 
 /// One learned embedding table with sparse-row training updates.
 ///
@@ -117,43 +95,27 @@ impl EmbeddingTable {
         Ok(())
     }
 
-    /// Gathers embeddings into a caller-provided arena, reading each
-    /// distinct ID from the table exactly once: repeats within the batch
-    /// are fanned out with an intra-arena row copy instead of a second
-    /// table gather. Power-law recommendation traffic repeats hot IDs
-    /// constantly, so the table (which may be large and cache-cold) is
-    /// touched only once per distinct ID.
-    ///
-    /// Output is identical to [`EmbeddingTable::forward_into`].
+    /// Adds the embedding of `ids[i]` onto row `i` of `out` — a gather
+    /// fused with sum pooling, so a pooled feature never stages its rows
+    /// in an arena. The float operations are exactly those of
+    /// [`EmbeddingTable::forward`] followed by `out += rows`.
     ///
     /// # Errors
     ///
-    /// Returns [`EmbedError::IdOutOfRange`] if any ID is invalid.
-    pub fn forward_dedup_into(
-        &self,
-        ids: &[u64],
-        scratch: &mut GatherScratch,
-        out: &mut Matrix,
-    ) -> Result<()> {
-        out.resize_zeroed(ids.len(), self.dim);
-        scratch.first_row.clear();
-        let dim = self.dim;
-        for (i, &id) in ids.iter().enumerate() {
-            match scratch.first_row.entry(id) {
-                Entry::Occupied(first) => {
-                    let src = *first.get() as usize;
-                    out.as_mut_slice().copy_within(src * dim..(src + 1) * dim, i * dim);
-                }
-                Entry::Vacant(slot) => {
-                    if id >= self.weights.rows() as u64 {
-                        return Err(EmbedError::IdOutOfRange {
-                            id,
-                            rows: self.weights.rows() as u64,
-                        });
-                    }
-                    slot.insert(i as u32);
-                    out.row_mut(i).copy_from_slice(self.weights.row(id as usize));
-                }
+    /// Returns a tensor shape error if `out` is not `ids.len() x dim`, and
+    /// [`EmbedError::IdOutOfRange`] on an invalid ID (rows before it
+    /// have already been added).
+    pub fn gather_add_into(&self, ids: &[u64], out: &mut Matrix) -> Result<()> {
+        if out.shape() != (ids.len(), self.dim) {
+            return Err(EmbedError::Tensor(mprec_tensor::TensorError::ShapeMismatch {
+                op: "embedding gather-add",
+                lhs: (ids.len(), self.dim),
+                rhs: out.shape(),
+            }));
+        }
+        for (dst, &id) in out.as_mut_slice().chunks_exact_mut(self.dim).zip(ids) {
+            for (d, &w) in dst.iter_mut().zip(self.row(id)?) {
+                *d += w;
             }
         }
         Ok(())
@@ -243,29 +205,35 @@ mod tests {
     }
 
     #[test]
-    fn forward_dedup_matches_plain_gather() {
+    fn gather_add_into_matches_forward_plus_add() {
         // Heavy duplication, including back-to-back and interleaved
-        // repeats: the dedup path must produce byte-identical output.
+        // repeats: the fused path must produce byte-identical output.
         let t = table(50, 6);
         let ids = [3u64, 17, 3, 3, 42, 17, 0, 42, 3, 49, 49, 0];
-        let plain = t.forward(&ids).unwrap();
-        let mut scratch = GatherScratch::new();
-        let mut deduped = Matrix::zeros(0, 0);
-        t.forward_dedup_into(&ids, &mut scratch, &mut deduped).unwrap();
-        assert_eq!(deduped, plain);
+        let mut rng = StdRng::seed_from_u64(9);
+        let base = mprec_tensor::init::uniform(ids.len(), 6, 1.0, &mut rng);
+        let mut plain = base.clone();
+        plain.add_assign(&t.forward(&ids).unwrap()).unwrap();
+        let mut fused = base;
+        t.gather_add_into(&ids, &mut fused).unwrap();
+        assert_eq!(fused, plain);
     }
 
     #[test]
-    fn forward_dedup_rejects_bad_id_and_reuses_scratch() {
+    fn gather_add_into_rejects_bad_id_and_bad_shape() {
         let t = table(10, 4);
-        let mut scratch = GatherScratch::new();
-        let mut out = Matrix::zeros(0, 0);
+        let mut out = Matrix::zeros(2, 4);
         assert!(matches!(
-            t.forward_dedup_into(&[1, 10], &mut scratch, &mut out),
+            t.gather_add_into(&[1, 10], &mut out),
             Err(EmbedError::IdOutOfRange { id: 10, rows: 10 })
         ));
-        // Scratch stays usable after an error.
-        t.forward_dedup_into(&[1, 1, 2], &mut scratch, &mut out).unwrap();
+        assert!(matches!(
+            t.gather_add_into(&[1, 2, 3], &mut out),
+            Err(EmbedError::Tensor(_))
+        ));
+        // The output stays usable after an error.
+        let mut out = Matrix::zeros(3, 4);
+        t.gather_add_into(&[1, 1, 2], &mut out).unwrap();
         assert_eq!(out.row(0), out.row(1));
         assert_eq!(out.row(0), t.row(1).unwrap());
     }

@@ -438,6 +438,24 @@ mod tests {
     }
 
     #[test]
+    fn rejects_non_finite_zipf_exponents() {
+        // Regression: a NaN exponent used to panic at build ("cdf is
+        // finite") or, as a tenant skew, inside every node worker.
+        let mut cfg = quick_cfg();
+        cfg.model.zipf_exponent = f64::NAN;
+        assert!(matches!(Engine::new(cfg), Err(RuntimeError::BadConfig(_))));
+        let mut cfg = quick_cfg();
+        cfg.model.tenant_zipf = vec![1.2, f64::NAN];
+        assert!(matches!(Engine::new(cfg), Err(RuntimeError::BadConfig(_))));
+        let mut cfg = quick_cfg();
+        cfg.tenants = TrafficConfig::new(vec![mprec_data::traffic::TenantSpec {
+            id_zipf: f64::INFINITY,
+            ..mprec_data::traffic::TenantSpec::ranking("t", 100, 1000.0)
+        }]);
+        assert!(matches!(Engine::new(cfg), Err(RuntimeError::BadConfig(_))));
+    }
+
+    #[test]
     fn serves_every_query_exactly_once() {
         let report = serve(quick_cfg()).unwrap();
         assert_eq!(report.outcome.completed, 300);

@@ -8,7 +8,7 @@ use mprec_core::mpcache::{
     BatchScratch, DecoderCache, EncoderCache, ShardedCacheConfig, ShardedMpCache,
 };
 use mprec_data::{splitmix64, Zipf};
-use mprec_embed::{DheConfig, DheStack, EmbeddingTable, GatherScratch};
+use mprec_embed::{DheConfig, DheStack, EmbeddingTable};
 use mprec_nn::{Activation, Mlp, MlpScratch};
 use mprec_tensor::Matrix;
 use rand::rngs::StdRng;
@@ -18,9 +18,8 @@ use std::collections::HashMap;
 use crate::{Result, RuntimeError};
 
 /// Per-worker reusable execution buffers: the per-feature ID staging
-/// vectors, the embedding gather/compute arena, the pooled-input matrix,
-/// the table dedup index, the MP-Cache batch scratch, and the top-MLP
-/// ping-pong buffers.
+/// vectors, the DHE embedding arena, the pooled-input matrix, the
+/// MP-Cache batch scratch, and the top-MLP ping-pong buffers.
 ///
 /// One `ScratchSpace` per worker thread makes steady-state
 /// [`RuntimeModel::execute_with`] perform **zero heap allocations**: all
@@ -32,7 +31,6 @@ pub struct ScratchSpace {
     per_feature: Vec<Vec<u64>>,
     emb: Matrix,
     pooled: Matrix,
-    gather: GatherScratch,
     cache: BatchScratch,
     top: MlpScratch,
 }
@@ -167,12 +165,22 @@ impl RuntimeModel {
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::BadConfig`] on degenerate shapes and
-    /// propagates embedding/NN construction errors.
+    /// Returns [`RuntimeError::BadConfig`] on degenerate shapes or a Zipf
+    /// exponent (`zipf_exponent` or a `tenant_zipf` entry) whose mass is
+    /// not finite, and propagates embedding/NN construction errors.
     pub fn build(cfg: &RuntimeModelConfig, cache_shards: usize, seed: u64) -> Result<Self> {
         if cfg.sparse_features == 0 || cfg.rows_per_feature == 0 || cfg.emb_dim == 0 {
             return Err(RuntimeError::BadConfig(format!(
                 "model needs features/rows/dim > 0, got {cfg:?}"
+            )));
+        }
+        if let Some(bad) = std::iter::once(&cfg.zipf_exponent)
+            .chain(&cfg.tenant_zipf)
+            .find(|&&e| !Zipf::mass_is_finite(cfg.rows_per_feature, e))
+        {
+            return Err(RuntimeError::BadConfig(format!(
+                "zipf exponent {bad} has no finite mass over {} rows",
+                cfg.rows_per_feature
             )));
         }
         let mut rng = StdRng::seed_from_u64(seed);
@@ -390,7 +398,7 @@ impl RuntimeModel {
     }
 
     /// [`RuntimeModel::execute`] against a persistent [`ScratchSpace`]:
-    /// table features gather deduplicated rows into the scratch arena,
+    /// table features add their rows straight into the pooled matrix,
     /// DHE features run the batched MP-Cache path through the scratch
     /// buffers, pooling accumulates in the reusable pooled matrix, and
     /// the top MLP ping-pongs between the scratch pair — zero
@@ -465,14 +473,10 @@ impl RuntimeModel {
                     &mut scratch.cache,
                     &mut scratch.emb,
                 )?;
+                out.add_assign(&scratch.emb)?;
             } else {
-                self.tables[feature].forward_dedup_into(
-                    ids,
-                    &mut scratch.gather,
-                    &mut scratch.emb,
-                )?;
+                self.tables[feature].gather_add_into(ids, out)?;
             }
-            out.add_assign(&scratch.emb)?;
         }
         Ok(total)
     }
@@ -564,8 +568,8 @@ impl RuntimeModel {
 
     /// The pre-optimization execution path, kept as the baseline the
     /// `kernel_throughput` bench and the equivalence tests compare
-    /// against: fresh `Vec`/`Matrix` allocations per batch, no gather
-    /// dedup, per-batch cache allocation, allocating MLP inference.
+    /// against: fresh `Vec`/`Matrix` allocations per batch, a staged
+    /// table gather, per-batch cache allocation, allocating MLP inference.
     /// Combine with [`mprec_tensor::kernels::set_global_kernel`]
     /// (`Kernel::Naive`) to reproduce the original scalar GEMMs too.
     ///
@@ -678,6 +682,36 @@ mod tests {
     }
 
     #[test]
+    fn build_rejects_zipf_exponents_without_finite_mass() {
+        // Regression: these used to panic ("cdf is finite") instead of
+        // returning an error.
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1000.0] {
+            let cfg = RuntimeModelConfig {
+                zipf_exponent: bad,
+                ..tiny_cfg()
+            };
+            assert!(
+                matches!(RuntimeModel::build(&cfg, 4, 1), Err(RuntimeError::BadConfig(_))),
+                "zipf_exponent {bad}"
+            );
+            let cfg = RuntimeModelConfig {
+                tenant_zipf: vec![1.1, bad],
+                ..tiny_cfg()
+            };
+            assert!(
+                matches!(RuntimeModel::build(&cfg, 4, 1), Err(RuntimeError::BadConfig(_))),
+                "tenant_zipf entry {bad}"
+            );
+        }
+        // Negative but tame exponents (an inverted popularity) still build.
+        let cfg = RuntimeModelConfig {
+            zipf_exponent: -0.5,
+            ..tiny_cfg()
+        };
+        assert!(RuntimeModel::build(&cfg, 4, 1).is_ok());
+    }
+
+    #[test]
     fn execute_counts_every_sample() {
         let m = RuntimeModel::build(&tiny_cfg(), 4, 1).unwrap();
         for path in [PathKind::Table, PathKind::Dhe, PathKind::Hybrid] {
@@ -779,6 +813,58 @@ mod tests {
         let mut again = vec![Vec::new(); 2];
         m.draw_query_ids(7, 64, &mut again);
         assert_eq!(base, again);
+    }
+
+    #[test]
+    #[rustfmt::skip]
+    fn default_id_streams_are_pinned() {
+        // The first 16 ids per feature under the default config, recorded
+        // before the guide-table sampler replaced the binary search. Any
+        // sampler or seeding change that alters the stream fails here.
+        use mprec_data::scenario::{pack_query_id, with_epoch};
+        let m = RuntimeModel::build(&RuntimeModelConfig::default(), 4, 42).unwrap();
+        let draw = |qid: u64| {
+            let mut v = vec![Vec::new(); 8];
+            m.draw_query_ids(qid, 16, &mut v);
+            v
+        };
+        let legacy: [[u64; 16]; 8] = [
+            [8322, 70, 1313, 3737, 0, 4, 6189, 1, 3651, 14441, 8, 171, 0, 0, 3, 0],
+            [93, 0, 2, 587, 251, 14034, 46284, 9, 1, 11429, 7, 3, 0, 1, 25024, 205],
+            [22, 97, 686, 21, 3, 5, 0, 1797, 5302, 104, 37, 143, 35, 5235, 7, 2],
+            [6426, 47182, 6825, 1, 11, 19678, 33, 45, 33751, 0, 226, 2, 73, 1, 3068, 138],
+            [3, 11, 514, 372, 0, 154, 1807, 589, 2, 24, 10, 93, 837, 11, 71, 15],
+            [16, 0, 47, 0, 2650, 1076, 1, 45731, 2376, 562, 6286, 40, 1705, 24801, 46517, 0],
+            [12469, 0, 108, 640, 47, 681, 511, 9173, 13202, 27900, 4, 8, 457, 9, 5, 1926],
+            [5, 158, 170, 2607, 0, 22235, 1, 12, 25471, 0, 2279, 0, 1, 0, 7708, 3],
+        ];
+        let drift: [[u64; 16]; 8] = [
+            [47375, 39123, 40366, 42790, 39053, 39057, 45242, 39054, 42704, 3494, 39061, 39224, 39053, 39053, 39056, 39053],
+            [39146, 39053, 39055, 39640, 39304, 3087, 35337, 39062, 39054, 482, 39060, 39056, 39053, 39054, 14077, 39258],
+            [39075, 39150, 39739, 39074, 39056, 39058, 39053, 40850, 44355, 39157, 39090, 39196, 39088, 44288, 39060, 39055],
+            [45479, 36235, 45878, 39054, 39064, 8731, 39086, 39098, 22804, 39053, 39279, 39055, 39126, 39054, 42121, 39191],
+            [39056, 39064, 39567, 39425, 39053, 39207, 40860, 39642, 39055, 39077, 39063, 39146, 39890, 39064, 39124, 39068],
+            [39069, 39053, 39100, 39053, 41703, 40129, 39054, 34784, 41429, 39615, 45339, 39093, 40758, 13854, 35570, 39053],
+            [1522, 39053, 39161, 39693, 39100, 39734, 39564, 48226, 2255, 16953, 39057, 39061, 39510, 39062, 39058, 40979],
+            [39058, 39211, 39223, 41660, 39053, 11288, 39054, 39065, 14524, 39053, 41332, 39053, 39054, 39053, 46761, 39056],
+        ];
+        let tenant_user: [[u64; 16]; 8] = [
+            [35768, 31963, 41227, 20915, 48772, 18513, 13259, 32644, 32622, 33042, 26259, 23057, 11053, 2154, 29256, 32965],
+            [32663, 33104, 29256, 2154, 6889, 22054, 37143, 29256, 33635, 29256, 23057, 33868, 32631, 23057, 37367, 3647],
+            [44622, 5545, 31963, 945, 32761, 48772, 26259, 6889, 6889, 3647, 44622, 30234, 29256, 6889, 37143, 24183],
+            [30234, 41995, 22054, 29048, 32612, 20915, 2154, 23057, 14719, 41707, 36148, 34986, 30234, 32698, 20105, 49416],
+            [32611, 32627, 17293, 37143, 18513, 29048, 23057, 29048, 29256, 30234, 33591, 49909, 2154, 5545, 43811, 36774],
+            [29256, 945, 23057, 8060, 32610, 37143, 37143, 33884, 32660, 32682, 17293, 32871, 5545, 17293, 44622, 16867],
+            [31963, 48772, 37207, 33465, 8060, 32643, 41707, 34786, 2154, 42309, 33104, 42309, 41707, 43811, 29048, 32613],
+            [14719, 17293, 8060, 44622, 44622, 31963, 2900, 42309, 18513, 32612, 24183, 31963, 20915, 8060, 32611, 26259],
+        ];
+        for (qid, want) in [
+            (7, legacy),
+            (with_epoch(7, 3), drift),
+            (pack_query_id(0, 1, 42, 7), tenant_user),
+        ] {
+            assert_eq!(draw(qid), want.map(Vec::from), "query id {qid:#x}");
+        }
     }
 
     #[test]
