@@ -597,8 +597,8 @@ struct OverheadCell {
 /// asserts every virtual-time metric is bit-identical (recording must
 /// observe the deterministic schedule, never perturb it), and returns
 /// the wall-clock delta. The delta is the only machine-dependent
-/// number: on a 1-CPU container all threads share one core, so it
-/// overstates what a multicore host would pay.
+/// number: when the cluster's threads outnumber the host's cores they
+/// share them, so it overstates what a larger host would pay.
 fn run_recorder_overhead(num_queries: usize) -> OverheadCell {
     let run = |recorder: TraceConfig| {
         let cfg = ClusterConfig {
@@ -772,9 +772,9 @@ fn main() {
         }
         if cores < 8 {
             println!(
-                "note: host exposes only {cores} core(s); measured node scaling \
-                 cannot exceed ~1.0x here — the virtual critical-path ratio is \
-                 the machine-independent signal"
+                "note: host exposes only {cores} core(s); measured 1 -> 8 node \
+                 scaling cannot exceed ~{cores}x here — the virtual critical-path \
+                 ratio is the machine-independent signal"
             );
         }
     }
@@ -959,7 +959,7 @@ fn main() {
 
     // Recorder-overhead hygiene: tracing must be free in virtual time
     // (asserted inside) and cheap in wall-clock time (reported, with
-    // the 1-CPU caveat).
+    // the core-count caveat).
     let overhead = run_recorder_overhead(if smoke {
         1500
     } else {
@@ -972,8 +972,9 @@ fn main() {
     };
     println!(
         "\nrecorder overhead ({} queries): off {:.3}s, on {:.3}s ({:+.1}% wall-clock, \
-         {} events dropped; virtual metrics asserted identical — on 1 CPU the \
-         delta overstates a multicore host)",
+         {} events dropped; virtual metrics asserted identical — on {cores} core(s) \
+         the 2-node cluster's threads share the cores, so the delta can overstate \
+         a host with a core per thread)",
         overhead.queries,
         overhead.serve_s_off,
         overhead.serve_s_on,

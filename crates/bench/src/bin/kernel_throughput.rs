@@ -1,48 +1,90 @@
-//! Kernel throughput sweep: naive vs tiled GEMM GFLOP/s across sizes,
-//! table gather-add bandwidth, Zipf draw cost, DHE encode rate, and
-//! end-to-end `RuntimeModel` samples/s before (naive kernels +
+//! Kernel throughput sweep: naive vs tiled GEMM GFLOP/s across sizes
+//! (median, min and max over reps), table gather-add bandwidth, Zipf
+//! draw cost, DHE encode rate, the batched decoder-tier kNN cost per
+//! miss, and end-to-end `RuntimeModel` samples/s before (naive kernels +
 //! allocating execute) vs after (tiled kernels + zero-allocation scratch
-//! execute). Writes
-//! `BENCH_kernels.json` (the repo's kernel-perf trajectory artifact).
+//! execute). Writes `BENCH_kernels.json` (the repo's kernel-perf
+//! trajectory artifact) with the host it ran on.
 //!
 //! Usage:
-//!   kernel_throughput \[reps\]  full sweep (default 9 reps/cell, best-of)
+//!   kernel_throughput \[reps\]  full sweep (default 9 reps/cell)
 //!   kernel_throughput --smoke  CI smoke: tiny shapes, asserts the tiled
 //!                              kernel matches naive, still writes JSON
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use mprec_core::mpcache::DecoderCache;
 use mprec_data::Zipf;
-use mprec_embed::{DheEncoder, EmbeddingTable};
+use mprec_embed::{DheConfig, DheEncoder, DheStack, EmbeddingTable};
 use mprec_runtime::{PathKind, RuntimeModel, RuntimeModelConfig};
 use mprec_tensor::{init, kernels, Kernel, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// Median, fastest and slowest of a set of measurements.
+#[derive(Clone, Copy)]
+struct Spread {
+    median: f64,
+    min: f64,
+    max: f64,
+}
+
+impl Spread {
+    /// Maps every statistic through `f`; a decreasing `f` (time to rate)
+    /// swaps `min` and `max`.
+    fn map(self, f: impl Fn(f64) -> f64) -> Spread {
+        let (a, b) = (f(self.min), f(self.max));
+        Spread {
+            median: f(self.median),
+            min: a.min(b),
+            max: a.max(b),
+        }
+    }
+
+    fn json(&self) -> String {
+        format!(
+            "{{\"median\":{:.3},\"min\":{:.3},\"max\":{:.3}}}",
+            self.median, self.min, self.max
+        )
+    }
+}
+
+/// Wall time in seconds of `reps` runs of `f` (at least one).
+fn timed(reps: usize, mut f: impl FnMut()) -> Spread {
+    let mut secs: Vec<f64> = (0..reps.max(1))
+        .map(|_| {
+            let t = Instant::now();
+            f();
+            t.elapsed().as_secs_f64()
+        })
+        .collect();
+    secs.sort_by(f64::total_cmp);
+    Spread {
+        median: secs[secs.len() / 2],
+        min: secs[0],
+        max: secs[secs.len() - 1],
+    }
+}
+
 /// Best-of-N wall time of `f` (min over reps suppresses the noisy
 /// shared-container scheduler).
-fn best_of(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best
+fn best_of(reps: usize, f: impl FnMut()) -> f64 {
+    timed(reps, f).min
 }
 
 struct GemmCell {
     m: usize,
     k: usize,
     n: usize,
-    naive_gflops: f64,
-    tiled_gflops: f64,
+    naive_gflops: Spread,
+    tiled_gflops: Spread,
 }
 
 impl GemmCell {
+    /// Ratio of the median rates.
     fn speedup(&self) -> f64 {
-        self.tiled_gflops / self.naive_gflops.max(1e-12)
+        self.tiled_gflops.median / self.naive_gflops.median.max(1e-12)
     }
 }
 
@@ -52,21 +94,47 @@ fn gemm_cell(m: usize, k: usize, n: usize, reps: usize) -> GemmCell {
     let b = init::xavier_uniform(k, n, &mut rng);
     let mut out = Matrix::zeros(m, n);
     let flops = 2.0 * m as f64 * k as f64 * n as f64;
-    let naive = best_of(reps, || {
-        a.matmul_into_with(&b, &mut out, Kernel::Naive).unwrap();
-        std::hint::black_box(&out);
-    });
-    let tiled = best_of(reps, || {
-        a.matmul_into_with(&b, &mut out, Kernel::Tiled).unwrap();
-        std::hint::black_box(&out);
-    });
+    let mut gflops = |kernel: Kernel| {
+        timed(reps, || {
+            a.matmul_into_with(&b, &mut out, kernel).unwrap();
+            std::hint::black_box(&out);
+        })
+        .map(|secs| flops / secs / 1e9)
+    };
     GemmCell {
         m,
         k,
         n,
-        naive_gflops: flops / naive / 1e9,
-        tiled_gflops: flops / tiled / 1e9,
+        naive_gflops: gflops(Kernel::Naive),
+        tiled_gflops: gflops(Kernel::Tiled),
     }
+}
+
+/// Decoder-tier kNN in ns per miss at the serving default's shape
+/// (`k = 16` codes, 32 centroids): 256 fresh codes scored per call with
+/// one `codes · Cᵀ` GEMM plus a first-max argmax per row.
+fn decoder_knn_ns_per_miss(reps: usize) -> Spread {
+    let cfg = DheConfig {
+        k: 16,
+        dnn: 32,
+        h: 2,
+        out_dim: 8,
+    };
+    let stack = DheStack::new(cfg, 0, &mut StdRng::seed_from_u64(17)).expect("dhe stack");
+    let hot: Vec<u64> = (0..256).collect();
+    let dec = DecoderCache::build(&stack, &stack.encoder().encode_batch(&hot), 32, 4)
+        .expect("decoder cache");
+    let misses: Vec<u64> = (0..256u64).map(|i| 1_000_000 + i * 7919).collect();
+    let codes = stack.encoder().encode_batch(&misses);
+    let (mut scores, mut out) = (Matrix::default(), Matrix::default());
+    let calls = 64;
+    timed(reps, || {
+        for _ in 0..calls {
+            dec.lookup_batch_into(&codes, &mut scores, &mut out).unwrap();
+            std::hint::black_box(&out);
+        }
+    })
+    .map(|secs| secs * 1e9 / (calls * misses.len()) as f64)
 }
 
 /// Table gather: fused gather + pooling add over a Zipf trace, reported
@@ -157,21 +225,30 @@ fn main() {
             (256, 256, 256),
             (512, 512, 512),
             (256, 16, 64), // DHE decoder-shaped (batch x k x dnn)
+            (256, 32, 8),  // DHE decoder output layer shape (dnn x emb_dim)
             (256, 32, 1),  // top-MLP output layer shape
         ]
     };
 
+    let host = mprec_bench::host_json();
+    println!("host {host}");
     println!(
-        "\n{:>5} {:>5} {:>5} {:>14} {:>14} {:>9}",
-        "m", "k", "n", "naive GFLOP/s", "tiled GFLOP/s", "speedup"
+        "\n{:>5} {:>5} {:>5} {:>22} {:>22} {:>9}",
+        "m", "k", "n", "naive GFLOP/s med [min-max]", "tiled GFLOP/s med [min-max]", "speedup"
     );
     let cells: Vec<GemmCell> = shapes
         .iter()
         .map(|&(m, k, n)| {
             let c = gemm_cell(m, k, n, reps);
+            let fmt = |s: Spread| format!("{:.2} [{:.2}-{:.2}]", s.median, s.min, s.max);
             println!(
-                "{:>5} {:>5} {:>5} {:>14.2} {:>14.2} {:>8.2}x",
-                c.m, c.k, c.n, c.naive_gflops, c.tiled_gflops, c.speedup()
+                "{:>5} {:>5} {:>5} {:>22} {:>22} {:>8.2}x",
+                c.m,
+                c.k,
+                c.n,
+                fmt(c.naive_gflops),
+                fmt(c.tiled_gflops),
+                c.speedup()
             );
             c
         })
@@ -195,9 +272,14 @@ fn main() {
     let gather = gather_gbps(reps);
     let zipf_ns = zipf_sample_ns(reps);
     let encode = dhe_encode_msps(reps);
+    let knn = decoder_knn_ns_per_miss(reps);
     println!("\ntable gather-add (zipf 8192x32):     {gather:.2} GB/s");
     println!("zipf sample (50K ranks, s=1.05):    {zipf_ns:.2} ns/draw");
     println!("dhe encode (k=32, 8192 ids):        {encode:.2} Msamples/s");
+    println!(
+        "decoder-tier kNN (k=16, 32 centroids): {:.2} ns/miss [{:.2}-{:.2}]",
+        knn.median, knn.min, knn.max
+    );
 
     // Serving-default model: hybrid path through the full MP-Cache
     // hierarchy (cache hits, not GEMMs, dominate — this pair mostly
@@ -237,6 +319,7 @@ fn main() {
     );
 
     let mut json = String::from("{\n  \"bench\": \"kernel_throughput\",\n");
+    let _ = writeln!(json, "  \"host\": {host},");
     let _ = writeln!(json, "  \"smoke\": {smoke},");
     let _ = writeln!(json, "  \"reps\": {reps},");
     json.push_str("  \"gemm\": [\n");
@@ -244,14 +327,21 @@ fn main() {
         let sep = if i + 1 < cells.len() { "," } else { "" };
         let _ = writeln!(
             json,
-            "    {{\"m\":{},\"k\":{},\"n\":{},\"naive_gflops\":{:.2},\"tiled_gflops\":{:.2},\"speedup\":{:.3}}}{}",
-            c.m, c.k, c.n, c.naive_gflops, c.tiled_gflops, c.speedup(), sep
+            "    {{\"m\":{},\"k\":{},\"n\":{},\"naive_gflops\":{},\"tiled_gflops\":{},\"speedup\":{:.3}}}{}",
+            c.m,
+            c.k,
+            c.n,
+            c.naive_gflops.json(),
+            c.tiled_gflops.json(),
+            c.speedup(),
+            sep
         );
     }
     json.push_str("  ],\n");
     let _ = writeln!(json, "  \"table_gather_gbps\": {gather:.3},");
     let _ = writeln!(json, "  \"zipf_sample_ns\": {zipf_ns:.3},");
     let _ = writeln!(json, "  \"dhe_encode_msamples_per_s\": {encode:.3},");
+    let _ = writeln!(json, "  \"decoder_knn_ns_per_miss\": {},", knn.json());
     let _ = writeln!(json, "  \"runtime_before_samples_per_s\": {before_sps:.1},");
     let _ = writeln!(json, "  \"runtime_after_samples_per_s\": {after_sps:.1},");
     let _ = writeln!(

@@ -315,8 +315,8 @@ fn main() {
         );
         if cores < 4 {
             println!(
-                "note: host exposes only {cores} core(s); worker scaling cannot \
-                 exceed ~1.0x here — interpret the sweep on a multicore host"
+                "note: host exposes only {cores} core(s); 1 -> 4 worker scaling cannot \
+                 exceed ~{cores}x here — interpret the rest of the sweep on a larger host"
             );
         }
     }

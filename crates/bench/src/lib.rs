@@ -60,6 +60,42 @@ pub fn arg_or<T: std::str::FromStr>(idx: usize, default: T) -> T {
         .unwrap_or(default)
 }
 
+/// The host a measurement ran on, as one JSON object: core count, CPU
+/// brand string and the SIMD features the kernels can use (`"unknown"` /
+/// empty off x86-64).
+pub fn host_json() -> String {
+    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
+    #[cfg(target_arch = "x86_64")]
+    let (cpu, simd) = {
+        let brand: String = (0x8000_0002u32..=0x8000_0004)
+            .flat_map(|leaf| {
+                let r = std::arch::x86_64::__cpuid(leaf);
+                [r.eax, r.ebx, r.ecx, r.edx]
+            })
+            .flat_map(u32::to_le_bytes)
+            .filter(|&b| b != 0)
+            .map(char::from)
+            .collect();
+        let simd: Vec<&str> = [
+            ("avx2", std::arch::is_x86_feature_detected!("avx2")),
+            ("avx512f", std::arch::is_x86_feature_detected!("avx512f")),
+            ("fma", std::arch::is_x86_feature_detected!("fma")),
+        ]
+        .into_iter()
+        .filter_map(|(name, on)| on.then_some(name))
+        .collect();
+        (brand.trim().to_string(), simd.join(","))
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let (cpu, simd) = (String::from("unknown"), String::new());
+    let clean = |s: &str| s.replace(['"', '\\'], "");
+    format!(
+        "{{\"available_parallelism\": {cores}, \"cpu\": \"{}\", \"simd\": \"{}\"}}",
+        clean(&cpu),
+        clean(&simd)
+    )
+}
+
 /// Prints a standard experiment header.
 pub fn header(id: &str, paper_claim: &str) {
     println!("# {id}");

@@ -9,7 +9,8 @@
 //!   outputs are profiled offline into `N` k-means centroids with
 //!   pre-computed decoder outputs; at inference the nearest centroid
 //!   (normalized dot product + argmax — cheap and parallel) replaces the
-//!   decoder MLP run.
+//!   decoder MLP run. A batch of misses is scored against every centroid
+//!   with one `codes · Cᵀ` GEMM.
 //!
 //! Both tiers are functional (real data structures, measurable hit rates
 //! and approximation error) and expose the cost parameters the hardware
@@ -33,7 +34,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use mprec_data::SplitMixBuildHasher;
 use mprec_embed::DheStack;
@@ -494,10 +495,53 @@ impl SegmentedLruEncoderCache {
 /// pre-computed decoder results.
 #[derive(Debug)]
 pub struct DecoderCache {
-    /// Unit-normalized centroids, `N x k`.
-    centroids: Matrix,
+    /// Unit-normalized centroids, stored transposed (`k x N`) so that
+    /// scoring a batch of codes is one `codes · Cᵀ` GEMM.
+    centroids_t: Matrix,
     /// Pre-computed decoder outputs, `N x out_dim`.
     outputs: Matrix,
+}
+
+/// Centroids scored per stack-buffer chunk by [`DecoderCache::nearest`].
+const NEAREST_CHUNK: usize = 64;
+
+/// Independent lanes of [`argmax_first`]'s running maxima.
+const ARGMAX_LANES: usize = 8;
+
+/// Index and value of the *first* maximum of `scores` — as a strict `>`
+/// against a running best that starts at `-inf`: ties keep the lower
+/// index, `+0` and `-0` tie, NaN never wins, and an all-NaN, all-`-inf`
+/// or empty row yields index 0.
+///
+/// Branch-free and vectorizable: lane `l` keeps the first maximum of
+/// elements `l, l + 8, ...` with selects, and the lanes then reduce to
+/// the greatest value, ties to the lowest index — which is the first
+/// index holding the row's maximum.
+fn argmax_first(scores: &[f32]) -> (usize, f32) {
+    let mut best_v = [f32::NEG_INFINITY; ARGMAX_LANES];
+    let mut best = [0usize; ARGMAX_LANES];
+    let chunks = scores.chunks_exact(ARGMAX_LANES);
+    let tail = chunks.remainder();
+    for (c, chunk) in chunks.enumerate() {
+        for l in 0..ARGMAX_LANES {
+            let better = chunk[l] > best_v[l];
+            best[l] = if better { c * ARGMAX_LANES + l } else { best[l] };
+            best_v[l] = if better { chunk[l] } else { best_v[l] };
+        }
+    }
+    let base = scores.len() - tail.len();
+    for (l, &v) in tail.iter().enumerate() {
+        if v > best_v[l] {
+            (best[l], best_v[l]) = (base + l, v);
+        }
+    }
+    let (mut i, mut v) = (best[0], best_v[0]);
+    for l in 1..ARGMAX_LANES {
+        if best_v[l] > v || (best_v[l] == v && best[l] < i) {
+            (i, v) = (best[l], best_v[l]);
+        }
+    }
+    (i, v)
 }
 
 impl DecoderCache {
@@ -564,39 +608,56 @@ impl DecoderCache {
         }
         let outputs = stack.decode(&centroids)?;
         // Normalize centroids so nearest-by-distance becomes
-        // max-dot-product (the paper's parallelizable trick). We keep both
-        // the normalized direction and rely on approximately equal norms
-        // of hash codes (uniform in [-1,1]^k).
-        let mut normalized = centroids.clone();
-        for c in 0..normalized.rows() {
-            ops::normalize(normalized.row_mut(c));
+        // max-dot-product (the paper's parallelizable trick: a batch of
+        // codes is then scored by one GEMM). We keep only the normalized
+        // direction and rely on approximately equal norms of hash codes
+        // (uniform in [-1,1]^k).
+        for c in 0..centroids.rows() {
+            ops::normalize(centroids.row_mut(c));
         }
         Ok(DecoderCache {
-            centroids: normalized,
+            centroids_t: centroids.transposed(),
             outputs,
         })
     }
 
     /// Number of centroids `N`.
     pub fn num_centroids(&self) -> usize {
-        self.centroids.rows()
+        self.centroids_t.cols()
     }
 
-    /// Nearest-centroid index for a code (dot product + argmax).
+    /// Nearest-centroid index for a code (dot product + argmax; ties go
+    /// to the lowest index).
     ///
     /// The query is deliberately *not* normalized: dividing every dot
     /// product by the same positive `||code||` cannot change the argmax,
     /// so skipping it saves a copy + sqrt + divide per lookup and keeps
     /// the hot path allocation-free. (A zero-norm code yields all-zero
-    /// dots either way.)
+    /// dots either way.) Each dot product accumulates in `k` order from
+    /// `+0`, exactly as the GEMM of [`DecoderCache::lookup_batch_into`]
+    /// does, so the scalar and batched paths pick the same centroid.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `code.len()` differs from the centroid dimension `k`.
     pub fn nearest(&self, code: &[f32]) -> usize {
-        let mut best = 0;
-        let mut best_dot = f32::NEG_INFINITY;
-        for c in 0..self.centroids.rows() {
-            let d = ops::dot(code, self.centroids.row(c));
-            if d > best_dot {
-                best_dot = d;
-                best = c;
+        let (k, n) = self.centroids_t.shape();
+        assert_eq!(code.len(), k, "nearest: code length mismatch");
+        let ct = self.centroids_t.as_slice();
+        let mut scores = [0.0f32; NEAREST_CHUNK];
+        let (mut best, mut best_v) = (0, f32::NEG_INFINITY);
+        for j0 in (0..n).step_by(NEAREST_CHUNK) {
+            let chunk = &mut scores[..NEAREST_CHUNK.min(n - j0)];
+            chunk.fill(0.0);
+            for (kk, &cv) in code.iter().enumerate() {
+                let row = &ct[kk * n + j0..kk * n + j0 + chunk.len()];
+                for (s, &x) in chunk.iter_mut().zip(row) {
+                    *s += cv * x;
+                }
+            }
+            let (i, v) = argmax_first(chunk);
+            if v > best_v {
+                (best, best_v) = (j0 + i, v);
             }
         }
         best
@@ -608,9 +669,41 @@ impl DecoderCache {
         self.outputs.row(self.nearest(code))
     }
 
+    /// `scores = codes · Cᵀ` (`rows x N`): every code against every
+    /// centroid in one GEMM. The first maximum of score row `i` is
+    /// `nearest(codes.row(i))`.
+    fn score_into(&self, codes: &Matrix, scores: &mut Matrix) -> Result<()> {
+        codes
+            .matmul_into(&self.centroids_t, scores)
+            .map_err(|e| CoreError::Embed(e.into()))
+    }
+
+    /// Batched [`DecoderCache::lookup`]: row `i` of `out` (resized to
+    /// `rows x out_dim`, reusing its allocation) becomes
+    /// `lookup(codes.row(i))`, with all rows scored by one `codes · Cᵀ`
+    /// GEMM into `scores`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Embed`] if `codes` does not have `k` columns.
+    pub fn lookup_batch_into(
+        &self,
+        codes: &Matrix,
+        scores: &mut Matrix,
+        out: &mut Matrix,
+    ) -> Result<()> {
+        self.score_into(codes, scores)?;
+        out.resize_zeroed(codes.rows(), self.outputs.cols());
+        for i in 0..codes.rows() {
+            let (c, _) = argmax_first(scores.row(i));
+            out.row_mut(i).copy_from_slice(self.outputs.row(c));
+        }
+        Ok(())
+    }
+
     /// FLOPs per lookup (the kNN dot products), for the hardware model.
     pub fn flops_per_lookup(&self) -> u64 {
-        (2 * self.centroids.rows() * self.centroids.cols()) as u64
+        (2 * self.centroids_t.rows() * self.centroids_t.cols()) as u64
     }
 }
 
@@ -766,22 +859,43 @@ impl DecoderTier {
     }
 }
 
+/// Per-shard probe counters of one [`ShardedMpCache::embed_batch_into`]
+/// call, flushed into the shard's [`AtomicCacheStats`] once per call.
+#[derive(Debug, Default, Clone, Copy)]
+struct ProbeCounts {
+    encoder_hits: u64,
+    dynamic_hits: u64,
+    disk_hits: u64,
+    encoder_misses: u64,
+    decoder_lookups: u64,
+}
+
 /// Reusable buffers for [`ShardedMpCache::embed_batch_into`], owned by
 /// one worker and recycled across batches: the miss index, the batched
-/// encoder codes, the decoder ping-pong matrices, and the decoder-tier
-/// output arena. After warm-up, a batch whose misses fit the
-/// high-water marks performs no heap allocation outside dynamic-tier
-/// admission (which itself recycles evicted entries once the tier is
-/// full).
+/// encoder codes, the decoder-tier score matrix, the decoder ping-pong
+/// matrices, the output arena for computed misses, per-shard probe
+/// counters, and the shard-grouped admission order. After warm-up, a
+/// batch whose misses fit the high-water marks performs no heap
+/// allocation outside dynamic-tier admission (which itself recycles
+/// evicted entries once the tier is full).
 #[derive(Debug, Default)]
 pub struct BatchScratch {
     miss_slot_of: HashMap<u64, u32, SplitMixBuildHasher>,
     miss_ids: Vec<u64>,
+    /// Shard index of each unique miss (parallel to `miss_ids`).
+    miss_shard: Vec<u32>,
     cold_rows: Vec<(u32, u32)>,
     codes: Matrix,
+    scores: Matrix,
     computed: Matrix,
     mlp: MlpScratch,
     disk_row: Vec<f32>,
+    counts: Vec<ProbeCounts>,
+    /// Counting-sort buffers grouping misses by shard for admission:
+    /// `shard_start[s]..shard_start[s + 1]` indexes `admit_order`.
+    shard_start: Vec<u32>,
+    shard_fill: Vec<u32>,
+    admit_order: Vec<u32>,
 }
 
 impl BatchScratch {
@@ -809,6 +923,10 @@ pub struct ShardedMpCache {
     decoder: DecoderTier,
     mask: u64,
     dynamic_per_shard: usize,
+    /// Whether any disk segment was loaded since the last
+    /// [`ShardedMpCache::clear_disk`]; while false, RAM misses skip the
+    /// disk tier's lock.
+    disk_loaded: AtomicBool,
 }
 
 impl ShardedMpCache {
@@ -871,6 +989,7 @@ impl ShardedMpCache {
             decoder,
             mask,
             dynamic_per_shard,
+            disk_loaded: AtomicBool::new(false),
         }
     }
 
@@ -897,8 +1016,12 @@ impl ShardedMpCache {
         self.decoder.for_feature(feature)
     }
 
+    fn shard_index(&self, feature: usize, id: u64) -> usize {
+        (shard_hash(feature, id) & self.mask) as usize
+    }
+
     fn shard(&self, feature: usize, id: u64) -> &CacheShard {
-        &self.shards[(shard_hash(feature, id) & self.mask) as usize]
+        &self.shards[self.shard_index(feature, id)]
     }
 
     /// Stats of one shard.
@@ -948,6 +1071,12 @@ impl ShardedMpCache {
             let cap = s.disk.read().max_records();
             *s.disk.write() = Segment::bounded(cap);
         }
+        self.disk_loaded.store(false, Ordering::Release);
+    }
+
+    /// Whether a RAM miss must consult the disk tier at all.
+    fn disk_may_hit(&self) -> bool {
+        self.disk_loaded.load(Ordering::Acquire)
     }
 
     /// Bounds every shard's disk tier to at most `per_shard_records` log
@@ -1012,6 +1141,9 @@ impl ShardedMpCache {
     pub fn load_disk_segment(&self, bytes: &[u8]) -> Result<usize> {
         let seg = Segment::from_bytes(bytes)
             .map_err(|e| CoreError::BadConfig(format!("disk segment: {e}")))?;
+        // Raised before the first append, so a reader that skips the
+        // disk tier can only have run before this load.
+        self.disk_loaded.store(true, Ordering::Release);
         let mut loaded = 0;
         for (feature, id, values) in seg.iter() {
             self.shard(feature, id)
@@ -1109,7 +1241,7 @@ impl ShardedMpCache {
             }
         }
         let mut v = Vec::new();
-        if shard.disk.read().get_into(feature, id, &mut v) {
+        if self.disk_may_hit() && shard.disk.read().get_into(feature, id, &mut v) {
             shard.stats.disk_hits.fetch_add(1, Ordering::Relaxed);
             self.admit(shard, key, &v);
             return Ok(v);
@@ -1143,8 +1275,12 @@ impl ShardedMpCache {
     /// intermediate lives in `scratch`, so a warm worker serves batches
     /// with zero steady-state heap allocations — hits are row copies out
     /// of the cache tiers, and all misses share one batched encode plus
-    /// either one decoder-tier scan each or a single batched decoder
-    /// GEMM through the scratch ping-pong buffers.
+    /// either one decoder-tier scoring GEMM (`codes · Cᵀ`) or a single
+    /// batched decoder MLP through the scratch ping-pong buffers. Probe
+    /// counters accumulate per shard in `scratch` and reach the shared
+    /// stats once per call (also when the call fails), and misses are
+    /// admitted shard by shard under one write lock each, in per-shard
+    /// miss order.
     ///
     /// # Errors
     ///
@@ -1157,24 +1293,59 @@ impl ShardedMpCache {
         scratch: &mut BatchScratch,
         out: &mut Matrix,
     ) -> Result<()> {
+        scratch.counts.clear();
+        scratch.counts.resize(self.shards.len(), ProbeCounts::default());
+        let result = self.probe_and_fill(stack, feature, ids, scratch, out);
+        for (shard, c) in self.shards.iter().zip(&scratch.counts) {
+            for (counter, n) in [
+                (&shard.stats.encoder_hits, c.encoder_hits),
+                (&shard.stats.dynamic_hits, c.dynamic_hits),
+                (&shard.stats.disk_hits, c.disk_hits),
+                (&shard.stats.encoder_misses, c.encoder_misses),
+                (&shard.stats.decoder_lookups, c.decoder_lookups),
+            ] {
+                if n > 0 {
+                    counter.fetch_add(n, Ordering::Relaxed);
+                }
+            }
+        }
+        result
+    }
+
+    /// The body of [`ShardedMpCache::embed_batch_into`], counting into
+    /// `scratch.counts` (zeroed, one entry per shard) instead of the
+    /// shared atomics.
+    fn probe_and_fill(
+        &self,
+        stack: &DheStack,
+        feature: usize,
+        ids: &[u64],
+        scratch: &mut BatchScratch,
+        out: &mut Matrix,
+    ) -> Result<()> {
         let dim = stack.out_dim();
         out.resize_zeroed(ids.len(), dim);
+        let decoder = self.decoder.for_feature(feature);
+        let disk_may_hit = self.disk_may_hit();
         // Unique cold IDs to compute, and for every output row of a cold
         // ID the slot its embedding comes from.
         scratch.miss_slot_of.clear();
         scratch.miss_ids.clear();
+        scratch.miss_shard.clear();
         scratch.cold_rows.clear();
         for (row, &id) in ids.iter().enumerate() {
-            let shard = self.shard(feature, id);
+            let shard_idx = self.shard_index(feature, id);
+            let shard = &self.shards[shard_idx];
+            let counts = &mut scratch.counts[shard_idx];
             let key = (feature, id);
             if let Some(hit) = shard.static_entries.get(&key) {
-                shard.stats.encoder_hits.fetch_add(1, Ordering::Relaxed);
+                counts.encoder_hits += 1;
                 out.row_mut(row).copy_from_slice(hit);
                 continue;
             }
             if self.dynamic_per_shard > 0 {
                 if let Some(hit) = shard.dynamic.read().entries.get(&key) {
-                    shard.stats.dynamic_hits.fetch_add(1, Ordering::Relaxed);
+                    counts.dynamic_hits += 1;
                     out.row_mut(row).copy_from_slice(hit);
                     continue;
                 }
@@ -1184,8 +1355,8 @@ impl ShardedMpCache {
             // be a pending cold ID — check before the repeat map. With
             // the dynamic tier enabled the promoted entry turns repeats
             // into dynamic hits, exactly like the scalar path.
-            if shard.disk.read().get_into(feature, id, &mut scratch.disk_row) {
-                shard.stats.disk_hits.fetch_add(1, Ordering::Relaxed);
+            if disk_may_hit && shard.disk.read().get_into(feature, id, &mut scratch.disk_row) {
+                counts.disk_hits += 1;
                 out.row_mut(row).copy_from_slice(&scratch.disk_row);
                 self.admit(shard, key, &scratch.disk_row);
                 continue;
@@ -1197,35 +1368,29 @@ impl ShardedMpCache {
                 // disabled the scalar path recomputes (another miss, and
                 // another decoder-tier lookup when that tier serves it).
                 if self.dynamic_per_shard > 0 {
-                    shard.stats.dynamic_hits.fetch_add(1, Ordering::Relaxed);
+                    counts.dynamic_hits += 1;
                 } else {
-                    shard.stats.encoder_misses.fetch_add(1, Ordering::Relaxed);
-                    if self.decoder.for_feature(feature).is_some() {
-                        shard.stats.decoder_lookups.fetch_add(1, Ordering::Relaxed);
-                    }
+                    counts.encoder_misses += 1;
+                    counts.decoder_lookups += u64::from(decoder.is_some());
                 }
                 scratch.cold_rows.push((row as u32, slot));
                 continue;
             }
-            shard.stats.encoder_misses.fetch_add(1, Ordering::Relaxed);
+            counts.encoder_misses += 1;
             let slot = scratch.miss_ids.len() as u32;
             scratch.miss_slot_of.insert(id, slot);
             scratch.miss_ids.push(id);
+            scratch.miss_shard.push(shard_idx as u32);
             scratch.cold_rows.push((row as u32, slot));
         }
         if scratch.miss_ids.is_empty() {
             return Ok(());
         }
         stack.encoder().encode_batch_into(&scratch.miss_ids, &mut scratch.codes);
-        let computed: &Matrix = if let Some(dec) = self.decoder.for_feature(feature) {
-            scratch.computed.resize_zeroed(scratch.miss_ids.len(), dim);
-            for (i, &id) in scratch.miss_ids.iter().enumerate() {
-                let shard = self.shard(feature, id);
-                shard.stats.decoder_lookups.fetch_add(1, Ordering::Relaxed);
-                scratch
-                    .computed
-                    .row_mut(i)
-                    .copy_from_slice(dec.lookup(scratch.codes.row(i)));
+        let computed: &Matrix = if let Some(dec) = decoder {
+            dec.lookup_batch_into(&scratch.codes, &mut scratch.scores, &mut scratch.computed)?;
+            for &s in &scratch.miss_shard {
+                scratch.counts[s as usize].decoder_lookups += 1;
             }
             &scratch.computed
         } else {
@@ -1234,9 +1399,44 @@ impl ShardedMpCache {
         for &(row, slot) in &scratch.cold_rows {
             out.row_mut(row as usize).copy_from_slice(computed.row(slot as usize));
         }
-        for (i, &id) in scratch.miss_ids.iter().enumerate() {
-            let shard = self.shard(feature, id);
-            self.admit(shard, (feature, id), computed.row(i));
+        if self.dynamic_per_shard == 0 {
+            return Ok(());
+        }
+        // Group the misses by shard with a counting sort (stable, so each
+        // shard admits in miss order and its FIFO evicts exactly as
+        // one-at-a-time admission would), then admit each shard's group
+        // under one write lock.
+        let shards = self.shards.len();
+        scratch.shard_start.clear();
+        scratch.shard_start.resize(shards + 1, 0);
+        for &s in &scratch.miss_shard {
+            scratch.shard_start[s as usize + 1] += 1;
+        }
+        for s in 0..shards {
+            scratch.shard_start[s + 1] += scratch.shard_start[s];
+        }
+        scratch.shard_fill.clear();
+        scratch.shard_fill.extend_from_slice(&scratch.shard_start[..shards]);
+        scratch.admit_order.resize(scratch.miss_ids.len(), 0);
+        for (slot, &s) in scratch.miss_shard.iter().enumerate() {
+            let fill = &mut scratch.shard_fill[s as usize];
+            scratch.admit_order[*fill as usize] = slot as u32;
+            *fill += 1;
+        }
+        for (shard, bounds) in self.shards.iter().zip(scratch.shard_start.windows(2)) {
+            let group = &scratch.admit_order[bounds[0] as usize..bounds[1] as usize];
+            if group.is_empty() {
+                continue;
+            }
+            let mut tier = shard.dynamic.write();
+            let mut evicted = 0;
+            for &slot in group {
+                let id = scratch.miss_ids[slot as usize];
+                evicted += self.admit_locked(&mut tier, (feature, id), computed.row(slot as usize));
+            }
+            if evicted > 0 {
+                shard.stats.evictions.fetch_add(evicted, Ordering::Relaxed);
+            }
         }
         Ok(())
     }
@@ -1262,31 +1462,41 @@ impl ShardedMpCache {
     /// Inserts a computed embedding into the shard's dynamic tier (FIFO
     /// eviction at the per-shard budget); no-op when the tier is disabled
     /// or another thread already inserted the key.
-    ///
-    /// The evicted entry's buffer is recycled for the incoming value, so
-    /// once a shard's tier is full, admission stops allocating: the map
-    /// and FIFO stay at constant size and the embedding vector is reused.
     fn admit(&self, shard: &CacheShard, key: (usize, u64), v: &[f32]) {
         if self.dynamic_per_shard == 0 {
             return;
         }
-        let mut tier = shard.dynamic.write();
-        if tier.entries.contains_key(&key) {
-            return;
+        let evicted = self.admit_locked(&mut shard.dynamic.write(), key, v);
+        if evicted > 0 {
+            shard.stats.evictions.fetch_add(evicted, Ordering::Relaxed);
         }
+    }
+
+    /// [`ShardedMpCache::admit`] under a held write lock, returning the
+    /// number of entries evicted (for the caller to count).
+    ///
+    /// The evicted entry's buffer is recycled for the incoming value, so
+    /// once a shard's tier is full, admission stops allocating: the map
+    /// and FIFO stay at constant size and the embedding vector is reused.
+    fn admit_locked(&self, tier: &mut DynamicTier, key: (usize, u64), v: &[f32]) -> u64 {
+        if tier.entries.contains_key(&key) {
+            return 0;
+        }
+        let mut evicted = 0;
         let mut recycled: Option<Vec<f32>> = None;
         while tier.entries.len() >= self.dynamic_per_shard {
             let Some(oldest) = tier.fifo.pop_front() else {
                 break;
             };
             recycled = tier.entries.remove(&oldest);
-            shard.stats.evictions.fetch_add(1, Ordering::Relaxed);
+            evicted += 1;
         }
         let mut buf = recycled.unwrap_or_default();
         buf.clear();
         buf.extend_from_slice(v);
         tier.entries.insert(key, buf);
         tier.fifo.push_back(key);
+        evicted
     }
 }
 
@@ -1433,6 +1643,115 @@ mod tests {
         assert!(lru.hit_rate() > 0.0);
     }
 
+    /// The batched decoder-tier kNN (one `codes · Cᵀ` GEMM + first-max
+    /// argmax per row) against the scalar [`DecoderCache::nearest`].
+    mod batched_knn {
+        use super::*;
+        use proptest::prelude::*;
+        use rand::Rng;
+
+        /// Checks that every row of `codes` gets the same centroid from
+        /// the batched scores as from `nearest`, and the same embedding
+        /// from `lookup_batch_into` as from `lookup`.
+        fn batch_agrees_with_nearest(
+            dec: &DecoderCache,
+            codes: &Matrix,
+        ) -> std::result::Result<(), TestCaseError> {
+            let (mut scores, mut out) = (Matrix::default(), Matrix::default());
+            dec.lookup_batch_into(codes, &mut scores, &mut out).unwrap();
+            prop_assert_eq!(scores.shape(), (codes.rows(), dec.num_centroids()));
+            for i in 0..codes.rows() {
+                let nearest = dec.nearest(codes.row(i));
+                prop_assert_eq!(argmax_first(scores.row(i)).0, nearest, "row {}", i);
+                prop_assert_eq!(out.row(i), dec.lookup(codes.row(i)), "row {}", i);
+            }
+            Ok(())
+        }
+
+        /// Random codes uniform in `[-1, 1]^k` plus one all-zero code.
+        fn random_codes(rows: usize, k: usize, rng: &mut StdRng) -> Matrix {
+            Matrix::from_fn(rows + 1, k, |r, _| {
+                if r == rows {
+                    0.0
+                } else {
+                    rng.gen_range(-1.0f32..1.0)
+                }
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(24))]
+
+            #[test]
+            fn batched_index_equals_nearest(
+                // Centroid counts on both sides of the 16-wide GEMM tile
+                // and of `nearest`'s 64-centroid chunk.
+                n_idx in 0usize..6,
+                rows in 1usize..40,
+                seed in 0u64..1_000_000,
+            ) {
+                let n = [1, 7, 16, 33, 64, 70][n_idx];
+                let s = stack();
+                let ids: Vec<u64> = (0..160).map(|i| i * 31 + seed).collect();
+                let dec = DecoderCache::build(&s, &s.encoder().encode_batch(&ids), n, 2).unwrap();
+                let mut rng = StdRng::seed_from_u64(seed);
+                batch_agrees_with_nearest(&dec, &random_codes(rows, 16, &mut rng))?;
+                // Codes the encoder actually produces, centroids' own
+                // sample points included.
+                batch_agrees_with_nearest(&dec, &s.encoder().encode_batch(&ids[..rows]))?;
+            }
+
+            #[test]
+            fn lane_argmax_equals_a_sequential_strict_scan(
+                len in 0usize..40,
+                seed in 0u64..1_000_000,
+            ) {
+                // Few distinct values, so ties (also across lanes and the
+                // tail), signed zeros, -inf and NaN all occur.
+                let pool = [1.0, 0.5, 0.0, -0.0, f32::NEG_INFINITY, f32::NAN];
+                let mut rng = StdRng::seed_from_u64(seed);
+                let row: Vec<f32> = (0..len).map(|_| pool[rng.gen_range(0..pool.len())]).collect();
+                let mut expect = (0, f32::NEG_INFINITY);
+                for (i, &v) in row.iter().enumerate() {
+                    if v > expect.1 {
+                        expect = (i, v);
+                    }
+                }
+                prop_assert_eq!(argmax_first(&row).0, expect.0, "row {:?}", row);
+            }
+
+            #[test]
+            fn duplicated_centroids_pick_the_first_index(
+                distinct in 1usize..6,
+                copies in 2usize..5,
+                rows in 1usize..20,
+                seed in 0u64..1_000_000,
+            ) {
+                let k = 16;
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut base = Matrix::from_fn(distinct, k, |_, _| rng.gen_range(-1.0f32..1.0));
+                for c in 0..distinct {
+                    ops::normalize(base.row_mut(c));
+                }
+                // Centroid j is base row j % distinct: every direction
+                // appears `copies` times, each copy with its own output.
+                let n = distinct * copies;
+                let centroids = Matrix::from_fn(n, k, |j, l| base.row(j % distinct)[l]);
+                let dec = DecoderCache {
+                    centroids_t: centroids.transposed(),
+                    outputs: Matrix::from_fn(n, 2, |j, l| (j * 2 + l) as f32),
+                };
+                let mut codes = random_codes(rows, k, &mut rng);
+                codes.row_mut(0).copy_from_slice(base.row(0));
+                batch_agrees_with_nearest(&dec, &codes)?;
+                for i in 0..codes.rows() {
+                    // Ties resolve to the first copy of the direction.
+                    prop_assert!(dec.nearest(codes.row(i)) < distinct, "row {}", i);
+                }
+            }
+        }
+    }
+
     #[test]
     fn decoder_cache_rejects_empty_input() {
         let s = stack();
@@ -1516,6 +1835,27 @@ mod tests {
                 "dynamic_entries = {dynamic_entries}"
             );
         }
+    }
+
+    #[test]
+    fn batched_admission_keeps_each_shards_fifo_order() {
+        // 40 distinct cold IDs into 4 shards of 4 dynamic entries: every
+        // shard evicts within the batch, so the surviving entries and
+        // their FIFO order expose the admission order per shard.
+        let ids: Vec<u64> = (1000..1040).collect();
+        let (s, batched) = sharded(4, 16);
+        let _ = batched.embed_batch(&s, 0, &ids).unwrap();
+        let (s2, scalar) = sharded(4, 16);
+        for &id in &ids {
+            let _ = scalar.embed(&s2, 0, id).unwrap();
+        }
+        assert!(batched.stats().evictions > 0);
+        assert_eq!(batched.stats(), scalar.stats());
+        assert_eq!(
+            batched.export_dynamic_segment(|_| true),
+            scalar.export_dynamic_segment(|_| true),
+            "same entries in the same per-shard FIFO order"
+        );
     }
 
     #[test]
@@ -1657,6 +1997,71 @@ mod tests {
         assert_eq!(stats.lookups(), 2);
         cache.clear_disk();
         assert_eq!(cache.disk_len(), 0);
+    }
+
+    #[test]
+    fn disk_tier_is_skipped_until_loaded_and_again_after_clear() {
+        let (sd, warm) = sharded(4, 64);
+        let _ = warm.embed(&sd, 0, 205).unwrap();
+        let seg = warm.export_dynamic_segment(|_| true);
+        let (s, cache) = sharded(4, 0);
+        assert!(!cache.disk_may_hit(), "a fresh cache has no disk tier to probe");
+        cache.load_disk_segment(&seg).unwrap();
+        assert!(cache.disk_may_hit());
+        let _ = cache.embed_batch(&s, 0, &[205]).unwrap();
+        assert_eq!(cache.stats().disk_hits, 1);
+        cache.clear_disk();
+        assert!(!cache.disk_may_hit());
+        let _ = cache.embed_batch(&s, 0, &[205]).unwrap();
+        assert_eq!(cache.stats().encoder_misses, 1, "cleared disk tier misses");
+        cache.load_disk_segment(&seg).unwrap();
+        let _ = cache.embed_batch(&s, 0, &[205]).unwrap();
+        assert_eq!(cache.stats().disk_hits, 2, "a reload raises the flag again");
+    }
+
+    #[test]
+    fn failed_batch_still_flushes_its_probe_counts() {
+        let s = stack();
+        // A decoder tier whose centroids are 8-wide cannot score the
+        // stack's 16-wide codes: the batched kNN GEMM fails after every
+        // ID has been probed.
+        let other = DheStack::new(
+            DheConfig {
+                k: 8,
+                dnn: 16,
+                h: 1,
+                out_dim: 8,
+            },
+            0,
+            &mut StdRng::seed_from_u64(1),
+        )
+        .unwrap();
+        let ids: Vec<u64> = (0..64).collect();
+        let dec = DecoderCache::build(&other, &other.encoder().encode_batch(&ids), 4, 1).unwrap();
+        let cache = ShardedMpCache::with_feature_decoders(
+            None,
+            vec![Some(dec)],
+            ShardedCacheConfig {
+                shards: 4,
+                dynamic_entries: 0,
+            },
+        );
+        let mut scratch = BatchScratch::new();
+        let mut out = Matrix::default();
+        let batch = [1u64, 2, 3, 2, 9, 40];
+        assert!(cache
+            .embed_batch_into(&s, 0, &batch, &mut scratch, &mut out)
+            .is_err());
+        let stats = cache.stats();
+        assert_eq!(stats.encoder_misses, 6, "every probe is counted");
+        // The repeat of id 2 counts its decoder lookup at probe time (the
+        // scalar path would have looked it up again); the five unique
+        // misses never reached a successful lookup.
+        assert_eq!(stats.decoder_lookups, 1);
+        // The scratch is reusable: the next call starts from zero counts.
+        let good = ShardedMpCache::new(None, None, ShardedCacheConfig::default());
+        good.embed_batch_into(&s, 0, &batch, &mut scratch, &mut out).unwrap();
+        assert_eq!(good.stats().encoder_misses, 6);
     }
 
     #[test]

@@ -11,16 +11,20 @@
 //!   live in vector registers for the whole `k` loop, streaming `B` row
 //!   by row so each loaded `B` vector is reused by 6 fused
 //!   multiply-adds instead of 1 and `C` is written exactly once. The
-//!   16-wide accumulator rows auto-vectorize.
+//!   16-wide accumulator rows auto-vectorize. Outputs narrower than one
+//!   micro-tile (`n < 16`) run on 8-row blocks of branch-free
+//!   accumulators instead — a row-blocked dot product when `n == 1`.
 //!
 //! The kernels operate on row-major `&[f32]` buffers so they stay free of
 //! `Matrix` internals; shape checking is the caller's job.
 //!
 //! Floating-point note: `Tiled` accumulates each output element in `k`
-//! order just like `Naive` for the `nn`/`tn` variants, but the `nt`
-//! variant splits its dot products across 8 partial accumulators, so
-//! results can differ from `Naive` by normal reassociation error (the
-//! equivalence property tests in `tests/kernel_equivalence.rs` bound it).
+//! order with a separate multiply and add, just like `Naive`, for the
+//! `nn`/`tn` variants; for finite inputs `nn` is bit-identical to `Naive`
+//! (property-tested in `tests/kernel_equivalence.rs`). The `nt` variant
+//! splits its dot products across 8 partial accumulators, so results can
+//! differ from `Naive` by normal reassociation error (the equivalence
+//! property tests bound it).
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -220,13 +224,84 @@ fn tail_nn(
     }
 }
 
+/// Rows of `C` per block of the narrow (`n < 16`) kernels.
+const NB: usize = 8;
+
+/// `R x n` block of `C = A * B` for `n < 16`: each step of the `k` loop
+/// copies `B`'s row into a zero-padded 16-lane vector, so the `R` rows
+/// of accumulators update with fixed-width, branch-free vector code (the
+/// padding lanes are discarded at the end).
+#[inline]
+fn narrow_nn<const R: usize>(
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    i0: usize,
+    (k, n): (usize, usize),
+) {
+    let mut acc = [[0.0f32; NR]; R];
+    let a_rows: [&[f32]; R] = std::array::from_fn(|r| &a[(i0 + r) * k..][..k]);
+    let mut b_vec = [0.0f32; NR];
+    for (kk, b_row) in b.chunks_exact(n).take(k).enumerate() {
+        b_vec[..n].copy_from_slice(b_row);
+        for r in 0..R {
+            let ar = a_rows[r][kk];
+            for l in 0..NR {
+                acc[r][l] += ar * b_vec[l];
+            }
+        }
+    }
+    for r in 0..R {
+        c[(i0 + r) * n..(i0 + r + 1) * n].copy_from_slice(&acc[r][..n]);
+    }
+}
+
+/// `R` rows of `c = A * b` for a single output column: `R` independent
+/// dot products advance together through `k`, so their accumulator
+/// chains overlap instead of each row waiting on its own add latency.
+#[inline]
+fn narrow_nn1<const R: usize>(a: &[f32], b: &[f32], c: &mut [f32], i0: usize, k: usize) {
+    let mut acc = [0.0f32; R];
+    // Exact-length row slices let the compiler drop the bounds checks.
+    let rows: [&[f32]; R] = std::array::from_fn(|r| &a[(i0 + r) * k..][..k]);
+    for (kk, &bv) in b[..k].iter().enumerate() {
+        for r in 0..R {
+            acc[r] += rows[r][kk] * bv;
+        }
+    }
+    c[i0..i0 + R].copy_from_slice(&acc);
+}
+
+/// `C = A * B` for outputs narrower than one micro-tile (`n < 16`, e.g.
+/// the top MLP's width-1 output layer): rows in blocks of [`NB`], one
+/// accumulator per output summed in `k` order with a separate multiply
+/// and add — the same operations as [`gemm_nn_naive`], so the result is
+/// bit-identical for finite inputs (skipping a zero `a` there adds a
+/// `±0` that cannot change an accumulator that starts at `+0`).
+fn gemm_nn_narrow((m, k, n): (usize, usize, usize), a: &[f32], b: &[f32], c: &mut [f32]) {
+    let blocked = m - m % NB;
+    for i0 in (0..blocked).step_by(NB) {
+        if n == 1 {
+            narrow_nn1::<NB>(a, b, c, i0, k);
+        } else {
+            narrow_nn::<NB>(a, b, c, i0, (k, n));
+        }
+    }
+    // The last `m % NB` rows, one at a time.
+    for i0 in blocked..m {
+        if n == 1 {
+            narrow_nn1::<1>(a, b, c, i0, k);
+        } else {
+            narrow_nn::<1>(a, b, c, i0, (k, n));
+        }
+    }
+}
+
 #[inline(never)]
 fn gemm_nn_tiled((m, k, n): (usize, usize, usize), a: &[f32], b: &[f32], c: &mut [f32]) {
     if n < NR {
-        // Narrower than one micro-tile (e.g. a width-1 output layer):
-        // the register-blocked path would be all tail, so the streaming
-        // scalar loops win outright.
-        return gemm_nn_naive((m, k, n), a, b, c);
+        // Narrower than one micro-tile: the 6x16 path would be all tail.
+        return gemm_nn_narrow((m, k, n), a, b, c);
     }
     let full_end = (n / NR) * NR;
     let mut i0 = 0;

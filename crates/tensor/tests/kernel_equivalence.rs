@@ -3,6 +3,8 @@
 //! including shapes that are not multiples of the 6x16 micro-tile, so
 //! every remainder path (row blocks of 1..=5, column tails of 1..=15)
 //! gets exercised — and the `_into` variants match the allocating ones.
+//! For `nn` the tiled kernels are bit-identical to the reference, which
+//! the ReLU-like (half exact zeros) property pins down.
 
 use mprec_tensor::{Kernel, Matrix};
 use proptest::prelude::*;
@@ -13,6 +15,38 @@ use rand::{Rng, SeedableRng};
 fn mat(rows: usize, cols: usize, seed: u64) -> Matrix {
     let mut rng = StdRng::seed_from_u64(seed);
     Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-2.0f32..2.0))
+}
+
+/// Deterministic ReLU-like matrix: about half the entries are exact
+/// zeros of either sign, the rest finite and signed.
+fn relu_like(rows: usize, cols: usize, seed: u64) -> Matrix {
+    let mut rng = StdRng::seed_from_u64(seed);
+    Matrix::from_fn(rows, cols, |_, _| {
+        if rng.gen_bool(0.5) {
+            if rng.gen_bool(0.5) {
+                0.0
+            } else {
+                -0.0
+            }
+        } else {
+            rng.gen_range(-2.0f32..2.0)
+        }
+    })
+}
+
+/// Bit-for-bit comparison (distinguishes `+0` from `-0`).
+fn assert_bits_eq(tiled: &Matrix, naive: &Matrix) -> Result<(), TestCaseError> {
+    prop_assert_eq!(tiled.shape(), naive.shape());
+    for (i, (t, n)) in tiled.as_slice().iter().zip(naive.as_slice()).enumerate() {
+        prop_assert!(
+            t.to_bits() == n.to_bits(),
+            "element {}: tiled {:e} vs naive {:e}",
+            i,
+            t,
+            n
+        );
+    }
+    Ok(())
 }
 
 /// Relative-tolerance comparison: the tiled kernels may reassociate
@@ -46,6 +80,25 @@ proptest! {
         let tiled = a.matmul_with(&b, Kernel::Tiled).unwrap();
         let naive = a.matmul_with(&b, Kernel::Naive).unwrap();
         assert_close(&tiled, &naive)?;
+    }
+
+    #[test]
+    fn narrow_tiled_matmul_is_bit_identical_to_naive(
+        m in 1usize..40,
+        k in 1usize..40,
+        n in 1usize..16,
+        seed in 0u64..1_000_000,
+    ) {
+        // Narrow outputs (the 8-row blocked kernels, row-blocked dot for
+        // n == 1) and, for the same A, a width past one micro-tile (the
+        // 6x16 kernels): both accumulate in k order like the reference.
+        let a = relu_like(m, k, seed);
+        for width in [n, n + 16] {
+            let b = relu_like(k, width, seed.wrapping_add(8));
+            let tiled = a.matmul_with(&b, Kernel::Tiled).unwrap();
+            let naive = a.matmul_with(&b, Kernel::Naive).unwrap();
+            assert_bits_eq(&tiled, &naive)?;
+        }
     }
 
     #[test]

@@ -122,8 +122,10 @@ perfbench-smoke:
     timeout 300 python3 perfbench/run.py --workload open-loop-tenants --seconds 5 --trace 0
     timeout 300 python3 perfbench/run.py --workload offline-cluster-drift --seconds 5 --trace 0
 
-# Benchmark-of-record layer trace: per-layer timing of offline-engine,
-# with the traced pass checked bit for bit against a 1-worker
-# Engine::serve. Mirrors the CI step; run it after any hot-path change.
+# Benchmark-of-record layer trace: per-layer timing of offline-engine
+# and open-loop-tenants (nearly all decoder-tier misses), each traced
+# pass checked bit for bit against a 1-worker Engine::serve. Mirrors the
+# CI step; run it after any hot-path change.
 perfbench-trace:
     timeout 300 python3 perfbench/run.py --workload offline-engine --seconds 5 --trace 1
+    timeout 300 python3 perfbench/run.py --workload open-loop-tenants --seconds 5 --trace 1
